@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .nsring import Ambient, NSClass, canonical_class
 
@@ -52,16 +52,14 @@ def binom(a: int, j: int) -> int:
     """Binomial coefficient with integer (possibly negative) upper argument.
 
     Zero when j < 0, and when 0 <= a < j; for a < 0 the falling factorial
-    gives the usual signed values.  Always an exact integer.
+    gives the usual signed values, by the reflection
+    binom(a, j) = (-1)^j binom(j-a-1, j).  Always an exact integer.
     """
     if j < 0:
         return 0
-    if a >= 0 and j > a:
-        return 0
-    product = 1
-    for step in range(j):
-        product *= a - step
-    return product // factorial(j)
+    if a >= 0:
+        return comb(a, j)
+    return (-1) ** j * comb(j - a - 1, j)
 
 
 @dataclass(frozen=True)
@@ -173,8 +171,9 @@ def pushpull(c: NSClass, k: int) -> NSClass:
         x^a theta^b  |->  sum_j binom(a, k-j) binom(b, j) binom(g-b+j, j) j!
                               x^(a-k+j) theta^(b-j),
 
-    extended linearly; exponents that leave the valid range contribute
-    nothing.  k = 0 is the identity.
+    extended linearly; only max(0, k-a) <= j <= min(k, b) can contribute,
+    since otherwise one of the first two binomials vanishes.  k = 0 is the
+    identity.
     """
     if k < 0:
         raise ValueError(f"push-pull index must be nonnegative, got k={k}")
@@ -182,16 +181,13 @@ def pushpull(c: NSClass, k: int) -> NSClass:
     if k >= amb.d:
         raise ValueError(f"push-pull index must satisfy k < d, got k={k} on C_{amb.d}")
     target = Ambient(amb.g, amb.d - k)
+    g = amb.g
     out: dict[tuple[int, int], Fraction] = {}
-    for (a, b), coeff in c.terms().items():
-        for j in range(k + 1):
-            weight = binom(a, k - j) * binom(b, j) * binom(amb.g - b + j, j) * factorial(j)
-            if weight == 0:
-                continue
-            i2, j2 = a - k + j, b - j
-            if i2 < 0 or j2 < 0:
-                continue
-            out[(i2, j2)] = out.get((i2, j2), Fraction(0)) + coeff * weight
+    for (a, b), coeff in c._terms.items():
+        for j in range(max(0, k - a), min(k, b) + 1):
+            weight = comb(a, k - j) * comb(b, j) * binom(g - b + j, j) * factorial(j)
+            key = (a - k + j, b - j)
+            out[key] = out.get(key, 0) + coeff * weight
     return NSClass(target, out)
 
 

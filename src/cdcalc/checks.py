@@ -20,7 +20,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import comb
 
 from ._version import __version__
 from .catalog import (
@@ -111,19 +111,24 @@ def pairing_sum_theta(g: int) -> Fraction:
 
     sum_{j=0}^{g-3} (-1)^j (j+1) g! / ((j+2)! (g-3-j)!), computed with no
     ring arithmetic at all, as an oracle independent of the class expansion.
+    Each term is an integer, g!/((j+2)!(g-3-j)!) = binom(g, j+2) (g-2-j), so
+    the sum runs in integers.
     """
-    total = Fraction(0)
+    total = 0
     for j in range(g - 2):
-        total += Fraction((-1) ** j * (j + 1) * factorial(g), factorial(j + 2) * factorial(g - 3 - j))
-    return total
+        total += (-1) ** j * (j + 1) * comb(g, j + 2) * (g - 2 - j)
+    return Fraction(total)
 
 
 def pairing_sum_x(g: int) -> Fraction:
-    """Companion sum with (j+3)! in the denominator; equals g - 2."""
-    total = Fraction(0)
+    """Companion sum with (j+3)! in the denominator; equals g - 2.
+
+    Here g!/((j+3)!(g-3-j)!) = binom(g, j+3).
+    """
+    total = 0
     for j in range(g - 2):
-        total += Fraction((-1) ** j * (j + 1) * factorial(g), factorial(j + 3) * factorial(g - 3 - j))
-    return total
+        total += (-1) ** j * (j + 1) * comb(g, j + 3)
+    return Fraction(total)
 
 
 # -- individual checks --------------------------------------------------------

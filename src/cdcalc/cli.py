@@ -320,7 +320,7 @@ def cmd_cone(args) -> int:
             ],
         }
         if args.query is not None:
-            inside = contains(cone, parse_class(args.query, Ambient(args.g, args.d)))
+            inside = contains(cone, resolve_class(args.query, Ambient(args.g, args.d)))
             lines.append(f"contains: {'true' if inside else 'false'}")
             payload["query"] = args.query
             payload["contains"] = inside

@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .catalog import diagonal_class
-from .nsring import Ambient, NSClass, format_rational
+from .nsring import Ambient, NSClass, _coerce_coeff, format_rational
 
 __all__ = [
     "BoundEntry",
@@ -49,7 +49,7 @@ class ConeRay:
     x: Fraction
 
     def __post_init__(self) -> None:
-        a, b = Fraction(self.theta), Fraction(self.x)
+        a, b = _coerce_coeff(self.theta), _coerce_coeff(self.x)
         if a == 0 and b == 0:
             raise ValueError("a ray needs a nonzero direction")
         scale = abs(a) if a != 0 else abs(b)

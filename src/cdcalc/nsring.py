@@ -12,7 +12,10 @@ Top-degree monomials evaluate by the Poincare formula
 
     x^k * theta^(d-k) = g! / (g-d+k)!        for 0 <= k <= d <= g,
 
-extended linearly; `pair` composes a ring product with this evaluation.
+extended linearly.  `pair` evaluates against the same weights without
+building the product class: each side is put over one common denominator,
+the numerators are summed against g!/(g-d+i1+i2)! in integers, and a single
+Fraction is built at the end.
 
 Equality of classes is formal (coefficient-wise): no relations among the
 monomials x^i theta^j below top degree are imposed, so the ring is valid
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 __all__ = [
     "Ambient",
@@ -42,6 +45,8 @@ RationalInput = int | Fraction
 
 
 def _coerce_coeff(value: RationalInput) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("coefficients must be exact rationals, not floats")
     return Fraction(value)
@@ -182,9 +187,17 @@ class NSClass:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = self.ambient.one()
-        for _ in range(exponent):
-            result = result * self
+        result, base = self.ambient.one(), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+                if result.is_zero():
+                    break
+            exponent >>= 1
+            if exponent:
+                base = base * base
+                if base.is_zero():
+                    return base
         return result
 
     # -- comparison / display -----------------------------------------------
@@ -225,19 +238,37 @@ def format_class(c: NSClass) -> str:
     ascending; coefficients are always written explicitly, e.g.
     "1/6*theta^3 - 1*x*theta^2 + 3*x^2*theta - 4*x^3".
     """
-    if c.is_zero():
+    terms = c._terms
+    if not terms:
         return "0"
-    keys = sorted(c.terms(), key=lambda key: (-(key[0] + key[1]), key[0]))
+    keys = sorted(terms, key=lambda key: (-(key[0] + key[1]), key[0]))
     pieces = []
     for index, (i, j) in enumerate(keys):
-        coeff = c.coefficient(i, j)
+        coeff = terms[(i, j)]
         monomial = _format_monomial(i, j)
-        body = format_rational(abs(coeff)) + (f"*{monomial}" if monomial else "")
+        body = str(abs(coeff)) + (f"*{monomial}" if monomial else "")
         if index == 0:
             pieces.append(("-" if coeff < 0 else "") + body)
         else:
             pieces.append((" - " if coeff < 0 else " + ") + body)
     return "".join(pieces)
+
+
+def _top_weight(g: int, d: int, i: int) -> int:
+    """The Poincare value of x^i theta^(d-i) on C_d: g!/(g-d+i)!."""
+    return factorial(g) // factorial(g - d + i)
+
+
+def _check_evaluable(amb: Ambient) -> None:
+    if amb.d > amb.g:
+        raise ValueError(f"evaluation undefined: requires d <= g, got {amb}")
+
+
+def _x_numerators(c: NSClass) -> tuple[list[tuple[int, int]], int]:
+    """The terms as (x-exponent, integer numerator) over one common denominator."""
+    den = lcm(*(coeff.denominator for coeff in c._terms.values()))
+    nums = [(i, coeff.numerator * (den // coeff.denominator)) for (i, _j), coeff in c._terms.items()]
+    return nums, den
 
 
 def eval_top(c: NSClass) -> Fraction:
@@ -248,23 +279,23 @@ def eval_top(c: NSClass) -> Fraction:
     class is allowed and evaluates to 0).
     """
     g, d = c.ambient.g, c.ambient.d
-    if d > g:
-        raise ValueError(f"evaluation undefined: requires d <= g, got {c.ambient}")
+    _check_evaluable(c.ambient)
     if c.is_zero():
         return Fraction(0)
     if c.pure_degree() != d:
         raise ValueError(f"not a top-degree class: need pure degree {d}, got {format_class(c)}")
     total = Fraction(0)
     for (i, _j), coeff in c.terms().items():
-        total += coeff * (factorial(g) // factorial(g - d + i))
+        total += coeff * _top_weight(g, d, i)
     return total
 
 
 def pair(a: NSClass, b: NSClass) -> Fraction:
     """Intersection pairing of classes of complementary degree.
 
-    Multiplies and evaluates the top-degree product; symmetric and bilinear
-    over exact rational scalars.
+    Equals eval_top(a * b), but never builds the product class: both sides
+    go over a common denominator and the sum of n1 * n2 * g!/(g-d+i1+i2)!
+    runs in integers.  Symmetric and bilinear over exact rational scalars.
     """
     a._require_same_ambient(b)
     if a.is_zero() or b.is_zero():
@@ -275,7 +306,15 @@ def pair(a: NSClass, b: NSClass) -> Fraction:
             f"degree mismatch: degrees must be pure and sum to d={a.ambient.d}, "
             f"got {da} and {db}"
         )
-    return eval_top(a * b)
+    g, d = a.ambient.g, a.ambient.d
+    _check_evaluable(a.ambient)
+    nums_a, den_a = _x_numerators(a)
+    nums_b, den_b = _x_numerators(b)
+    total = 0
+    for i1, n1 in nums_a:
+        for i2, n2 in nums_b:
+            total += n1 * n2 * _top_weight(g, d, i1 + i2)
+    return Fraction(total, den_a * den_b)
 
 
 def canonical_class(amb: Ambient) -> NSClass:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 
@@ -22,6 +23,14 @@ def test_closed_form_sums():
     for g in range(5, 41):
         assert pairing_sum_theta(g) == g
         assert pairing_sum_x(g) == g - 2
+
+
+def test_masked_report_is_byte_identical():
+    # SHA-256 of the timing-masked 5..40 report at version 0.1.0: any rewrite
+    # of the ring or the checks must reproduce it byte for byte
+    text = report_json(run_all(5, 40), include_timing=False)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "a38efc8a9de334551df41f9a817429b1800e1fecd2f0ecd92c72c8115a521862"
 
 
 def test_pencil_pairings_check():

@@ -141,6 +141,16 @@ def test_cone_verb_query(capsys):
     assert out.splitlines()[-1] == "contains: true"
 
 
+def test_cone_verb_query_reference(capsys):
+    # the diagonal spans the ray -theta + 9x, an edge of the cone on C_4 at g = 6
+    code, out, _ = run_cli(capsys, "cone", "--curve", "general", "--g", "6", "--d", "4",
+                           "--query", "<diagonal 6 4>")
+    assert code == 0 and out.splitlines()[-1] == "contains: true"
+    code, _, err = run_cli(capsys, "cone", "--curve", "general", "--g", "6", "--d", "4",
+                           "--query", "<diagonal 7 5>")
+    assert code == 1 and "command ambient" in err
+
+
 def test_cone_verb_bounds(capsys):
     code, out, _ = run_cli(capsys, "cone", "--curve", "trigonal", "--g", "8", "--d", "6")
     assert code == 0

@@ -34,6 +34,14 @@ def test_ray_canonical_form():
         ConeRay(Fraction(0), Fraction(0))
 
 
+def test_ray_rejects_floats():
+    with pytest.raises(TypeError):
+        ConeRay(0.5, 1)
+    with pytest.raises(TypeError):
+        ConeRay(Fraction(1), 0.25)
+    assert ConeRay(2, -3) == ConeRay(Fraction(1), Fraction(-3, 2))
+
+
 def test_ray_str():
     assert str(ConeRay(Fraction(1), Fraction(-3, 2))) == "1*theta - 3/2*x"
     assert str(ConeRay(Fraction(-1), Fraction(9))) == "-1*theta + 9*x"

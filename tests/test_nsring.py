@@ -1,6 +1,7 @@
 import random
+import time
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -70,6 +71,27 @@ def test_scalar_operations():
         amb.theta() ** -1
 
 
+def test_pow_matches_repeated_product():
+    rng = random.Random(414)
+    for _ in range(100):
+        amb = random_ambient(rng, g_max=8, allow_excess=True)
+        cls = random_class(rng, amb)
+        power = amb.one()
+        for exponent in range(7):
+            assert cls ** exponent == power
+            power = power * cls
+
+
+def test_pow_large_exponent_is_fast():
+    amb = Ambient(4, 4)
+    start = time.perf_counter()
+    assert amb.x() ** 200000 == amb.zero()
+    assert (amb.one() + amb.x()) ** 200000 == NSClass(
+        amb, {(k, 0): comb(200000, k) for k in range(5)}
+    )
+    assert time.perf_counter() - start < 0.05
+
+
 def test_ambient_mismatch():
     with pytest.raises(ValueError, match="ambient mismatch"):
         Ambient(6, 4).theta() + Ambient(5, 3).theta()
@@ -130,6 +152,9 @@ def test_pair_degree_mismatch():
         pair(amb.theta(), amb.theta())
     with pytest.raises(ValueError, match="degree mismatch"):
         pair(amb.theta() + amb.one(), amb.theta() ** 3)
+    excess = Ambient(4, 5)
+    with pytest.raises(ValueError, match="evaluation undefined"):
+        pair(excess.theta(), excess.monomial(1, 3))
 
 
 def test_pair_symmetry_and_bilinearity():
