@@ -23,11 +23,10 @@ so e.g. binom(-2, j) = (-1)^j (j+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .nsring import Ambient, NSClass, canonical_class
+from .nsring import Ambient, NSClass, Record, canonical_class
 
 __all__ = [
     "KernelBundleData",
@@ -62,51 +61,51 @@ def binom(a: int, j: int) -> int:
     return (-1) ** j * comb(j - a - 1, j)
 
 
-@dataclass(frozen=True)
-class LinearSeries:
+class LinearSeries(Record):
     """A g^r_n: an (r+1)-dimensional space of sections of a degree-n bundle."""
 
-    n: int
-    r: int
+    __slots__ = ("n", "r")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"series degree must be nonnegative, got n={self.n}")
-        if self.r < 0:
-            raise ValueError(f"series dimension must be nonnegative, got r={self.r}")
+    def __init__(self, n: int, r: int):
+        if n < 0:
+            raise ValueError(f"series degree must be nonnegative, got n={n}")
+        if r < 0:
+            raise ValueError(f"series dimension must be nonnegative, got r={r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
 
 
-@dataclass(frozen=True)
-class SystemData:
+class SystemData(Record):
     """A coherent system: rank and degree of the bundle, dimension of the space of sections."""
 
-    rank: int
-    degree: int
-    dim_v: int
+    __slots__ = ("rank", "degree", "dim_v")
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"system rank must be positive, got {self.rank}")
-        if self.dim_v < 0:
-            raise ValueError(f"section-space dimension must be nonnegative, got {self.dim_v}")
+    def __init__(self, rank: int, degree: int, dim_v: int):
+        if rank < 1:
+            raise ValueError(f"system rank must be positive, got {rank}")
+        if dim_v < 0:
+            raise ValueError(f"section-space dimension must be nonnegative, got {dim_v}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "dim_v", dim_v)
 
 
-@dataclass(frozen=True)
-class KernelBundleData:
+class KernelBundleData(Record):
     """A globally generated line bundle L and the kernel bundle M_L it defines.
 
     M_L is the kernel of the evaluation map H^0(L) (x) O_C -> L, so it has
     rank h^0(L) - 1 and degree -deg L.
     """
 
-    base_degree: int
-    base_sections: int
+    __slots__ = ("base_degree", "base_sections")
 
-    def __post_init__(self) -> None:
-        if self.base_sections < 2:
+    def __init__(self, base_degree: int, base_sections: int):
+        if base_sections < 2:
             raise ValueError(
-                f"kernel bundle needs at least 2 sections, got h^0={self.base_sections}"
+                f"kernel bundle needs at least 2 sections, got h^0={base_sections}"
             )
+        object.__setattr__(self, "base_degree", base_degree)
+        object.__setattr__(self, "base_sections", base_sections)
 
     @property
     def kernel_rank(self) -> int:

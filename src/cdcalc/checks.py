@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -37,7 +36,7 @@ from .catalog import (
     system_c1,
     twisted_kernel_class,
 )
-from .nsring import Ambient, NSClass, format_class, format_rational, pair
+from .nsring import Ambient, NSClass, Record, format_class, format_rational, pair
 
 __all__ = [
     "CheckResult",
@@ -55,22 +54,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    params: dict[str, int]
-    lhs: str
-    rhs: str
-    passed: bool
-    micros: int
+class CheckResult(Record):
+    __slots__ = ("check_id", "params", "lhs", "rhs", "passed", "micros")
+
+    def __init__(self, check_id: str, params: dict[str, int], lhs: str, rhs: str,
+                 passed: bool, micros: int):
+        object.__setattr__(self, "check_id", check_id)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "micros", micros)
 
 
-@dataclass(frozen=True)
-class Report:
-    version: str
-    g_min: int
-    g_max: int
-    checks: list[CheckResult] = field(default_factory=list)
+class Report(Record):
+    __slots__ = ("version", "g_min", "g_max", "checks")
+
+    def __init__(self, version: str, g_min: int, g_max: int,
+                 checks: list[CheckResult] | None = None):
+        object.__setattr__(self, "version", version)
+        object.__setattr__(self, "g_min", g_min)
+        object.__setattr__(self, "g_max", g_max)
+        object.__setattr__(self, "checks", [] if checks is None else checks)
 
     @property
     def total(self) -> int:

@@ -11,7 +11,6 @@ explicit flag pair; nothing is inferred from class names.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -29,7 +28,6 @@ from .catalog import (
     subordinate_class,
     system_c1,
 )
-from .checks import report_csv, report_json, run_all
 from .conelab import CurveClass, bounds_to_json, contains, general_effective_cone_gm2, known_bounds
 from .nsring import Ambient, NSClass, canonical_class, eval_top, format_class, format_rational, pair
 
@@ -204,6 +202,8 @@ def resolve_class(text: str, amb: Ambient) -> NSClass:
 
 def _emit(args, text_lines: list[str], payload: dict) -> None:
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         for line in text_lines:
@@ -366,6 +366,8 @@ def _config_int(raw: dict[str, str], path: str, key: str) -> int | None:
 
 
 def cmd_verify(args) -> int:
+    from .checks import report_csv, report_json, run_all
+
     g_min, g_max = args.g_min, args.g_max
     if args.config:
         raw = _read_config(args.config)

@@ -12,13 +12,11 @@ direction from the cone.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .catalog import diagonal_class
-from .nsring import Ambient, NSClass, _coerce_coeff, format_rational
+from .nsring import Ambient, NSClass, Record, _coerce_coeff, format_rational
 
 __all__ = [
     "BoundEntry",
@@ -37,19 +35,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConeRay:
+class ConeRay(Record):
     """A direction a*theta + b*x, up to positive scaling.
 
     Stored in canonical form: both coefficients exact rationals, scaled so
     the first nonzero one is +1 or -1.
     """
 
-    theta: Fraction
-    x: Fraction
+    __slots__ = ("theta", "x")
 
-    def __post_init__(self) -> None:
-        a, b = _coerce_coeff(self.theta), _coerce_coeff(self.x)
+    def __init__(self, theta: Fraction, x: Fraction):
+        a, b = _coerce_coeff(theta), _coerce_coeff(x)
         if a == 0 and b == 0:
             raise ValueError("a ray needs a nonzero direction")
         scale = abs(a) if a != 0 else abs(b)
@@ -81,21 +77,19 @@ def _sort_key(ray: ConeRay) -> tuple[int, Fraction]:
     return (1, Fraction(0)) if t is None else (0, t)
 
 
-@dataclass(frozen=True)
-class Cone2D:
+class Cone2D(Record):
     """The cone of nonnegative combinations of two independent rays."""
 
-    ray1: ConeRay
-    ray2: ConeRay
+    __slots__ = ("ray1", "ray2")
 
-    def __post_init__(self) -> None:
-        det = self.ray1.theta * self.ray2.x - self.ray2.theta * self.ray1.x
+    def __init__(self, ray1: ConeRay, ray2: ConeRay):
+        det = ray1.theta * ray2.x - ray2.theta * ray1.x
         if det == 0:
             raise ValueError("degenerate cone: rays are proportional")
-        if _sort_key(self.ray2) < _sort_key(self.ray1):
-            first, second = self.ray2, self.ray1
-            object.__setattr__(self, "ray1", first)
-            object.__setattr__(self, "ray2", second)
+        if _sort_key(ray2) < _sort_key(ray1):
+            ray1, ray2 = ray2, ray1
+        object.__setattr__(self, "ray1", ray1)
+        object.__setattr__(self, "ray2", ray2)
 
 
 def ray_from_class(c: NSClass) -> ConeRay:
@@ -153,16 +147,19 @@ class BoundStatus(str, Enum):
     EXCLUSION = "exclusion"
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(Record):
     """One catalogued restriction on the effective cone of C_d."""
 
-    curve: CurveClass
-    g: int
-    d: int
-    ray: ConeRay
-    status: BoundStatus
-    source: str
+    __slots__ = ("curve", "g", "d", "ray", "status", "source")
+
+    def __init__(self, curve: CurveClass, g: int, d: int, ray: ConeRay,
+                 status: BoundStatus, source: str):
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "ray", ray)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "source", source)
 
 
 def known_bounds(curve: CurveClass, g: int, d: int) -> list[BoundEntry]:
@@ -234,6 +231,8 @@ def full_catalog(g_min: int, g_max: int) -> list[BoundEntry]:
 
 def bounds_to_json(entries: list[BoundEntry]) -> str:
     """Serialize catalog entries deterministically (fixed key order, canonical rationals)."""
+    import json
+
     payload = [
         {
             "curveClass": e.curve.value,
@@ -249,17 +248,53 @@ def bounds_to_json(entries: list[BoundEntry]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _field(record: dict, name: str, kind: type):
+    if name not in record:
+        raise ValueError(f"bound record is missing field {name!r}")
+    value = record[name]
+    if type(value) is not kind:  # also rejects bool for int
+        raise ValueError(f"bound record field {name!r} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _parsed_field(record: dict, name: str, parse):
+    text = _field(record, name, str)
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bound record field {name!r} has invalid value {text!r}") from None
+
+
 def bounds_from_json(text: str) -> list[BoundEntry]:
+    """Read back the output of bounds_to_json.
+
+    Exact input only: g and d must be JSON integers, the ray coordinates
+    strings such as "-6/5".  A malformed record raises ValueError naming
+    the offending field.
+    """
+    import json
+
+    records = json.loads(text)
+    if not isinstance(records, list):
+        raise ValueError("bounds JSON must be a list of records")
     entries = []
-    for record in json.loads(text):
+    for record in records:
+        if not isinstance(record, dict):
+            raise ValueError(f"bound record must be an object, got {record!r}")
+        theta = _parsed_field(record, "rayTheta", Fraction)
+        x = _parsed_field(record, "rayX", Fraction)
+        try:
+            ray = ConeRay(theta, x)
+        except ValueError as exc:
+            raise ValueError(f"bound record fields 'rayTheta'/'rayX': {exc}") from None
         entries.append(
             BoundEntry(
-                CurveClass(record["curveClass"]),
-                int(record["g"]),
-                int(record["d"]),
-                ConeRay(Fraction(record["rayTheta"]), Fraction(record["rayX"])),
-                BoundStatus(record["status"]),
-                record["paperRef"],
+                _parsed_field(record, "curveClass", CurveClass),
+                _field(record, "g", int),
+                _field(record, "d", int),
+                ray,
+                _parsed_field(record, "status", BoundStatus),
+                _field(record, "paperRef", str),
             )
         )
     return entries

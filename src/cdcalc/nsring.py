@@ -27,9 +27,9 @@ functions, so values can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
+from operator import attrgetter
 
 __all__ = [
     "Ambient",
@@ -52,18 +52,58 @@ def _coerce_coeff(value: RationalInput) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class Ambient:
+class Record:
+    """Base of the immutable value types: fields held in ``__slots__``.
+
+    A subclass lists its fields (at least two) in ``__slots__`` and assigns
+    them in ``__init__`` with ``object.__setattr__`` after validating them.
+    Records compare equal only to records of the same type with equal
+    fields, hash and print by their fields, refuse assignment and deletion,
+    and pickle and copy by calling the constructor again.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if len(cls.__slots__) < 2:
+            raise TypeError(f"{cls.__name__} needs at least two fields in __slots__")
+        cls._values = attrgetter(*cls.__slots__)  # a plain callable: pass the record
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (type(self), self._values(self))
+
+
+class Ambient(Record):
     """The pair (g, d): genus of the curve and index of the symmetric power."""
 
-    g: int
-    d: int
+    __slots__ = ("g", "d")
 
-    def __post_init__(self) -> None:
-        if self.g < 2:
-            raise ValueError(f"genus must be at least 2, got g={self.g}")
-        if self.d < 1:
-            raise ValueError(f"symmetric power index must be at least 1, got d={self.d}")
+    def __init__(self, g: int, d: int):
+        if g < 2:
+            raise ValueError(f"genus must be at least 2, got g={g}")
+        if d < 1:
+            raise ValueError(f"symmetric power index must be at least 1, got d={d}")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "d", d)
 
     def zero(self) -> "NSClass":
         return NSClass(self, {})
@@ -110,6 +150,9 @@ class NSClass:
 
     def __setattr__(self, name, value):
         raise AttributeError("NSClass is immutable")
+
+    def __reduce__(self):
+        return (NSClass, (self.ambient, self._terms))
 
     # -- inspection ---------------------------------------------------------
 

@@ -194,7 +194,7 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
         return Report("0.0.0", g_min, g_max,
                       [CheckResult("demo", {"g": 5}, "1", "2", False, 0)])
 
-    monkeypatch.setattr("cdcalc.cli.run_all", fake_run_all)
+    monkeypatch.setattr("cdcalc.checks.run_all", fake_run_all)
     code, out, _ = run_cli(capsys, "verify", "--g-min", "5", "--g-max", "5")
     assert code == 2
     assert "FAIL demo g=5" in out

@@ -203,3 +203,41 @@ def test_catalog_json_round_trip():
     assert list(records[0]) == ["curveClass", "g", "d", "rayTheta", "rayX", "status", "paperRef"]
     statuses = {r["status"] for r in records}
     assert statuses <= {"proved-boundary", "effective-bound", "virtual-bound", "exclusion"}
+
+
+def _record(**changes):
+    record = json.loads(bounds_to_json(known_bounds(CurveClass.GENERAL, 6, 4)))[0]
+    record.update(changes)
+    return record
+
+
+@pytest.mark.parametrize("record, field", [
+    (_record(rayTheta=0.5), "rayTheta"),
+    (_record(rayX=-1.5), "rayX"),
+    (_record(rayX="1/0"), "rayX"),
+    (_record(rayTheta="half"), "rayTheta"),
+    (_record(rayTheta="0", rayX="0"), "rayTheta"),
+    (_record(g=6.7), "g"),
+    (_record(g=True), "g"),
+    (_record(d="4"), "d"),
+    (_record(curveClass="elliptic"), "curveClass"),
+    (_record(status="maybe"), "status"),
+    (_record(paperRef=None), "paperRef"),
+    ({k: v for k, v in _record().items() if k != "rayX"}, "rayX"),
+    ({k: v for k, v in _record().items() if k != "g"}, "g"),
+])
+def test_bounds_from_json_rejects_malformed_field(record, field):
+    with pytest.raises(ValueError, match=field):
+        bounds_from_json(json.dumps([record]))
+
+
+@pytest.mark.parametrize("text", ['{"g": 6}', '[["general", 6, 4]]', '[1]', '"x"'])
+def test_bounds_from_json_rejects_wrong_shape(text):
+    with pytest.raises(ValueError):
+        bounds_from_json(text)
+
+
+def test_bounds_from_json_reads_exact_decimal_strings():
+    (entry,) = bounds_from_json(json.dumps([_record(rayTheta="1", rayX="-1.5")]))
+    assert entry.ray == ConeRay(Fraction(1), Fraction(-3, 2))
+    assert (type(entry.g), entry.g, entry.d) == (int, 6, 4)

@@ -1,0 +1,63 @@
+"""Package-level guards: the lazy namespace, the CLI's import set, stdlib only."""
+
+import ast
+import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cdcalc"
+
+PROBE = """
+import json, sys
+import cdcalc.cli
+loaded = sorted(m for m in ("dataclasses", "inspect", "csv", "cdcalc.checks") if m in sys.modules)
+import cdcalc
+missing = [n for n in cdcalc.__all__ if getattr(cdcalc, n, None) is None]
+unlisted = sorted(set(cdcalc.__all__) - set(dir(cdcalc)))
+uncached = sorted(set(cdcalc.__all__) - set(vars(cdcalc)))
+try:
+    cdcalc.nope
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+print(json.dumps([loaded, missing, unlisted, uncached, unknown]))
+"""
+
+
+def test_cli_import_leaves_heavy_modules_out():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", PROBE], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    loaded, missing, unlisted, uncached, unknown = json.loads(out)
+    assert loaded == []
+    assert missing == [] and unlisted == [] and uncached == []
+    assert unknown == "AttributeError"
+
+
+def test_runtime_dependencies_stay_empty():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        assert re.search(r"^dependencies\s*=\s*\[\s*\]\s*$", text, re.MULTILINE)
+    else:
+        assert tomllib.loads(text)["project"]["dependencies"] == []
+
+
+def test_package_imports_only_the_standard_library():
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {n}" for n in names
+                        if n.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

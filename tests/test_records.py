@@ -1,0 +1,93 @@
+"""Value semantics of the immutable record types and of NSClass."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from cdcalc import (
+    Ambient,
+    BoundEntry,
+    BoundStatus,
+    CheckResult,
+    Cone2D,
+    ConeRay,
+    CurveClass,
+    KernelBundleData,
+    LinearSeries,
+    Report,
+    SystemData,
+    subordinate_class,
+)
+
+RAY = ConeRay(Fraction(2), Fraction(-3))
+CHECK = CheckResult("demo", {"g": 5}, "1", "1", True, 7)
+VALUES = [
+    subordinate_class(Ambient(6, 4), LinearSeries(5, 1)),
+    Ambient(6, 4),
+    LinearSeries(5, 1),
+    SystemData(2, 7, 3),
+    KernelBundleData(5, 3),
+    CHECK,
+    Report("0.1.0", 5, 6, [CHECK]),
+    RAY,
+    Cone2D(ConeRay(Fraction(0), Fraction(1)), RAY),
+    BoundEntry(CurveClass.GENERAL, 6, 4, RAY, BoundStatus.PROVED_BOUNDARY, "demo"),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("clone", [
+    lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_round_trip(value, clone):
+    twin = clone(value)
+    assert type(twin) is type(value)
+    assert twin == value
+    try:
+        expected = hash(value)
+    except TypeError:  # records holding a dict or a list
+        return
+    assert hash(twin) == expected
+
+
+def test_equality_needs_same_type():
+    assert Ambient(6, 4) != (6, 4)
+    assert LinearSeries(5, 1) != Ambient(5, 1)
+    assert Ambient(6, 4) == Ambient(6, 4) and Ambient(6, 4) != Ambient(6, 5)
+    assert hash(Ambient(6, 4)) == hash(Ambient(6, 4))
+
+
+@pytest.mark.parametrize("value", VALUES[1:], ids=lambda v: type(v).__name__)
+def test_fields_cannot_be_set_or_deleted(value):
+    field = type(value).__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, 1)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_repr_shows_every_field():
+    assert repr(Ambient(6, 4)) == "Ambient(g=6, d=4)"
+    assert repr(SystemData(2, 7, 3)) == "SystemData(rank=2, degree=7, dim_v=3)"
+    assert repr(RAY) == "ConeRay(theta=Fraction(1, 1), x=Fraction(-3, 2))"
+    text = repr(VALUES[-1])
+    for field in BoundEntry.__slots__:
+        assert f"{field}=" in text
+
+
+def test_report_default_checks_not_shared():
+    first, second = Report("0.1.0", 5, 6), Report("0.1.0", 5, 6)
+    first.checks.append(CHECK)
+    assert second.checks == []
+
+
+def test_rays_stay_normalised_after_pickle():
+    ray = pickle.loads(pickle.dumps(ConeRay(Fraction(-4), Fraction(6))))
+    assert (ray.theta, ray.x) == (Fraction(-1), Fraction(3, 2))
+    cone = pickle.loads(pickle.dumps(Cone2D(RAY, ConeRay(Fraction(0), Fraction(2)))))
+    assert cone.ray1 == RAY
+    assert (cone.ray2.theta, cone.ray2.x) == (Fraction(0), Fraction(1))
