@@ -24,10 +24,10 @@ _EXPORTS = {
         "format_rational", "pair",
     ),
     "catalog": (
-        "KernelBundleData", "LinearSeries", "SystemData", "binom", "brill_noether_rho",
-        "c1d_class", "chern_character", "diagonal_class", "dm_class", "kernel_twist_h1",
-        "mult_degeneracy_class", "pushpull", "subordinate_class", "system_c1",
-        "twisted_kernel_class",
+        "KernelBundleData", "LinearSeries", "NAMED_CLASSES", "SystemData", "binom",
+        "brill_noether_rho", "c1d_class", "chern_character", "diagonal_class", "dm_class",
+        "kernel_twist_h1", "mult_degeneracy_class", "pushpull", "subordinate_class",
+        "system_c1", "twisted_kernel_class",
     ),
     "conelab": (
         "BoundEntry", "BoundStatus", "Cone2D", "ConeRay", "CurveClass", "bounds_from_json",

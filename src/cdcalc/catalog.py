@@ -30,6 +30,7 @@ from .nsring import Ambient, NSClass, Record, canonical_class
 
 __all__ = [
     "KernelBundleData",
+    "NAMED_CLASSES",
     "LinearSeries",
     "SystemData",
     "binom",
@@ -317,3 +318,23 @@ def mult_degeneracy_class(g: int, d: int, r: int) -> NSClass:
             f"degeneracy class failed to simplify: {cls} != {expected}"
         )
     return cls
+
+
+# name -> (params, builder) for every class the CLI builds by name, through
+# `class --name` and `<name int...>` references alike.  `params` names the
+# integer arguments in order, each also a `class` flag; a trailing `[p]` is
+# optional, its default set by the builder.  The builders look the
+# constructors up in this module's globals at call time, so a wrapped or
+# patched constructor is what they call.
+NAMED_CLASSES = {
+    "gamma": ("g d n r", lambda g, d, n, r: subordinate_class(Ambient(g, d), LinearSeries(n, r))),
+    "diagonal": ("g d", lambda g, d: diagonal_class(Ambient(g, d))),
+    "c1d": ("g d", lambda g, d: c1d_class(Ambient(g, d))),
+    "canonical": ("g d", lambda g, d: canonical_class(Ambient(g, d))),
+    "dm": ("g m", lambda g, m: dm_class(g, m)),
+    "system-c1": ("g d rank f dim-v",
+                  lambda g, d, rank, f, dim_v: system_c1(Ambient(g, d), SystemData(rank, f, dim_v))),
+    "ch": ("g d rank f [max-degree]", lambda g, d, rank, f, max_degree=None: chern_character(
+        Ambient(g, d), rank, f, min(2, d) if max_degree is None else max_degree)),
+    "mult-class": ("g d r", lambda g, d, r: mult_degeneracy_class(g, d, r)),
+}

@@ -15,21 +15,9 @@ import os
 import sys
 from fractions import Fraction
 
-from .catalog import (
-    LinearSeries,
-    SystemData,
-    brill_noether_rho,
-    c1d_class,
-    chern_character,
-    diagonal_class,
-    dm_class,
-    mult_degeneracy_class,
-    pushpull,
-    subordinate_class,
-    system_c1,
-)
+from .catalog import NAMED_CLASSES, brill_noether_rho, pushpull
 from .conelab import CurveClass, bounds_to_json, contains, general_effective_cone_gm2, known_bounds
-from .nsring import Ambient, NSClass, canonical_class, eval_top, format_class, format_rational, pair
+from .nsring import Ambient, NSClass, eval_top, format_class, format_rational, pair
 
 
 class UsageError(Exception):
@@ -142,33 +130,26 @@ def parse_class(expr: str, amb: Ambient) -> NSClass:
 
 # -- named class references ---------------------------------------------------
 
-_REF_SIGNATURES = {
-    "gamma": "g d n r",
-    "diagonal": "g d",
-    "c1d": "g d",
-    "canonical": "g d",
-    "dm": "g m",
-    "system-c1": "g d rank f dimV",
-    "mult-class": "g d r",
-}
+def _flags(params: str) -> list[str]:
+    """The flag names in a signature such as "g d rank f [max-degree]"."""
+    return [param.strip("[]") for param in params.split()]
 
 
-def _build_ref(name: str, args: list[int]) -> NSClass:
-    if name == "gamma":
-        return subordinate_class(Ambient(args[0], args[1]), LinearSeries(args[2], args[3]))
-    if name == "diagonal":
-        return diagonal_class(Ambient(args[0], args[1]))
-    if name == "c1d":
-        return c1d_class(Ambient(args[0], args[1]))
-    if name == "canonical":
-        return canonical_class(Ambient(args[0], args[1]))
-    if name == "dm":
-        return dm_class(args[0], args[1])
-    if name == "system-c1":
-        return system_c1(Ambient(args[0], args[1]), SystemData(args[2], args[3], args[4]))
-    if name == "mult-class":
-        return mult_degeneracy_class(args[0], args[1], args[2])
-    raise UsageError(f"unknown class reference '{name}'; known: {', '.join(sorted(_REF_SIGNATURES))}")
+# `class --name rho` prints an integer, not a class, so it is not in the table.
+_RHO_PARAMS = "g r d"
+_CLASS_FLAGS = list(dict.fromkeys(
+    _flags(" ".join(params for params, _builder in NAMED_CLASSES.values()) + " " + _RHO_PARAMS)))
+
+
+def _build_named(name: str, values: list[int]) -> NSClass:
+    """Call the table's builder for `name` once the argument count fits its signature."""
+    params, builder = NAMED_CLASSES[name]
+    most = len(params.split())
+    least = most - params.count("[")
+    if not least <= len(values) <= most:
+        count = str(most) if least == most else f"{least} or {most}"
+        raise UsageError(f"class reference '{name}' takes {count} integers: <{name} {params}>")
+    return builder(*values)
 
 
 def resolve_class(text: str, amb: Ambient) -> NSClass:
@@ -182,17 +163,13 @@ def resolve_class(text: str, amb: Ambient) -> NSClass:
     if not fields:
         raise UsageError("empty class reference")
     name, raw_args = fields[0], fields[1:]
-    signature = _REF_SIGNATURES.get(name)
-    if signature is None:
-        raise UsageError(f"unknown class reference '{name}'; known: {', '.join(sorted(_REF_SIGNATURES))}")
-    expected = len(signature.split())
-    if len(raw_args) != expected:
-        raise UsageError(f"class reference '{name}' takes {expected} integers: <{name} {signature}>")
+    if name not in NAMED_CLASSES:
+        raise UsageError(f"unknown class reference '{name}'; known: {', '.join(sorted(NAMED_CLASSES))}")
     try:
         args = [int(a) for a in raw_args]
     except ValueError:
         raise UsageError(f"class reference arguments must be integers: {text!r}") from None
-    cls = _build_ref(name, args)
+    cls = _build_named(name, args)
     if cls.ambient != amb:
         raise UsageError(f"class reference lives on {cls.ambient}, command ambient is {amb}")
     return cls
@@ -223,53 +200,26 @@ def _status_word(passed: bool) -> str:
 
 # -- verb handlers ------------------------------------------------------------
 
-def _require(args, names: list[str], context: str) -> list[int]:
-    values = []
-    for name in names:
-        value = getattr(args, name.replace("-", "_"))
-        if value is None:
-            flags = " ".join(f"--{n}" for n in names)
-            raise UsageError(f"{context} requires {flags}")
-        values.append(value)
-    return values
-
-
 def cmd_class(args) -> int:
     name = args.name
+    params = _RHO_PARAMS if name == "rho" else NAMED_CLASSES[name][0]
+    taken = _flags(params)
+    given = {flag: getattr(args, flag.replace("-", "_")) for flag in _CLASS_FLAGS}
+    unused = [f"--{flag}" for flag, value in given.items()
+              if value is not None and flag not in taken and flag != "d"]
+    if unused:
+        raise UsageError(f"--name {name} does not take {' '.join(unused)}")
+    required = taken[:len(taken) - params.count("[")]
+    if any(given[flag] is None for flag in required):
+        raise UsageError(f"--name {name} requires {' '.join(f'--{flag}' for flag in required)}")
+    values = [given[flag] for flag in taken if given[flag] is not None]
     if name == "rho":
-        g, r, d = _require(args, ["g", "r", "d"], "--name rho")
-        value = brill_noether_rho(g, r, d)
+        value = brill_noether_rho(*values)
         _emit(args, [str(value)], {"name": name, "value": value})
         return 0
-    if name == "gamma":
-        g, d, n, r = _require(args, ["g", "d", "n", "r"], "--name gamma")
-        cls = subordinate_class(Ambient(g, d), LinearSeries(n, r))
-    elif name == "diagonal":
-        g, d = _require(args, ["g", "d"], "--name diagonal")
-        cls = diagonal_class(Ambient(g, d))
-    elif name == "c1d":
-        g, d = _require(args, ["g", "d"], "--name c1d")
-        cls = c1d_class(Ambient(g, d))
-    elif name == "canonical":
-        g, d = _require(args, ["g", "d"], "--name canonical")
-        cls = canonical_class(Ambient(g, d))
-    elif name == "dm":
-        g, m = _require(args, ["g", "m"], "--name dm")
-        cls = dm_class(g, m)
-        if args.d is not None and args.d != cls.ambient.d:
-            raise UsageError(f"--d {args.d} does not match the class ambient C_{cls.ambient.d}")
-    elif name == "system-c1":
-        g, d, rank, f, dim_v = _require(args, ["g", "d", "rank", "f", "dim-v"], "--name system-c1")
-        cls = system_c1(Ambient(g, d), SystemData(rank, f, dim_v))
-    elif name == "ch":
-        g, d, rank, f = _require(args, ["g", "d", "rank", "f"], "--name ch")
-        max_degree = args.max_degree if args.max_degree is not None else min(2, d)
-        cls = chern_character(Ambient(g, d), rank, f, max_degree)
-    elif name == "mult-class":
-        g, d, r = _require(args, ["g", "d", "r"], "--name mult-class")
-        cls = mult_degeneracy_class(g, d, r)
-    else:
-        raise UsageError(f"unknown class name '{name}'")
+    cls = _build_named(name, values)
+    if args.d is not None and args.d != cls.ambient.d:
+        raise UsageError(f"--d {args.d} does not match the class ambient C_{cls.ambient.d}")
     payload = {
         "name": name,
         "ambient": {"g": cls.ambient.g, "d": cls.ambient.d},
@@ -413,11 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--format", choices=choices, default="text")
 
     sub = verbs.add_parser("class", help="print a catalogued class in canonical form")
-    sub.add_argument("--name", required=True,
-                     choices=["gamma", "diagonal", "c1d", "canonical", "dm", "system-c1",
-                              "ch", "rho", "mult-class"])
-    for flag in ("--g", "--d", "--n", "--r", "--m", "--rank", "--f", "--dim-v", "--max-degree"):
-        sub.add_argument(flag, type=int)
+    signatures = [f"{name}: {row[0]}" for name, row in NAMED_CLASSES.items()]
+    sub.add_argument("--name", required=True, choices=[*NAMED_CLASSES, "rho"],
+                     help="the flags each name takes: " + "; ".join([*signatures, f"rho: {_RHO_PARAMS}"]))
+    for flag in _CLASS_FLAGS:
+        sub.add_argument(f"--{flag}", type=int)
     add_format(sub)
     sub.set_defaults(handler=cmd_class)
 

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .catalog import diagonal_class
-from .nsring import Ambient, NSClass, Record, _coerce_coeff, format_rational
+from .nsring import Ambient, NSClass, Record, _coerce_coeff, _signed_sum, format_rational
 
 __all__ = [
     "BoundEntry",
@@ -53,16 +53,8 @@ class ConeRay(Record):
         object.__setattr__(self, "x", b / scale)
 
     def __str__(self) -> str:
-        pieces = []
-        for coeff, name in ((self.theta, "theta"), (self.x, "x")):
-            if coeff == 0:
-                continue
-            body = f"{format_rational(abs(coeff))}*{name}"
-            if not pieces:
-                pieces.append(("-" if coeff < 0 else "") + body)
-            else:
-                pieces.append((" - " if coeff < 0 else " + ") + body)
-        return "".join(pieces)
+        terms = ((self.theta, "theta"), (self.x, "x"))
+        return _signed_sum(term for term in terms if term[0])
 
 
 def slope(ray: ConeRay) -> Fraction | None:

@@ -274,6 +274,24 @@ def _format_monomial(i: int, j: int) -> str:
     return "*".join(parts)
 
 
+def _signed_sum(terms) -> str:
+    """Join (nonzero coefficient, monomial) pairs as "c1*m1 - c2*m2 + c3", or "0" if none.
+
+    The one place a signed sum's text is decided, for classes and cone rays alike.
+    """
+    pieces = []
+    for coeff, monomial in terms:
+        text = str(coeff)
+        pieces.append(" - " + text[1:] if text[0] == "-" else " + " + text)
+        if monomial:
+            pieces.append("*" + monomial)
+    if not pieces:
+        return "0"
+    head = pieces[0]
+    pieces[0] = head[3:] if head[1] == "+" else "-" + head[3:]
+    return "".join(pieces)
+
+
 def format_class(c: NSClass) -> str:
     """Canonical textual form, the interchange format for the CLI and reports.
 
@@ -282,19 +300,8 @@ def format_class(c: NSClass) -> str:
     "1/6*theta^3 - 1*x*theta^2 + 3*x^2*theta - 4*x^3".
     """
     terms = c._terms
-    if not terms:
-        return "0"
     keys = sorted(terms, key=lambda key: (-(key[0] + key[1]), key[0]))
-    pieces = []
-    for index, (i, j) in enumerate(keys):
-        coeff = terms[(i, j)]
-        monomial = _format_monomial(i, j)
-        body = str(abs(coeff)) + (f"*{monomial}" if monomial else "")
-        if index == 0:
-            pieces.append(("-" if coeff < 0 else "") + body)
-        else:
-            pieces.append((" - " if coeff < 0 else " + ") + body)
-    return "".join(pieces)
+    return _signed_sum((terms[key], _format_monomial(*key)) for key in keys)
 
 
 def _top_weight(g: int, d: int, i: int) -> int:

@@ -1,0 +1,110 @@
+"""Fuzzing the command line: any argv ends in exit code 0, 1 or 2, never a traceback."""
+
+import contextlib
+import io
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from cdcalc import NAMED_CLASSES, Ambient, CurveClass, NSClass
+from cdcalc.cli import ClassSyntaxError, main, parse_class
+
+# |g| <= 14 keeps eval_top's factorials small; mostly positive, so some calls succeed.
+small_ints = st.one_of(st.integers(1, 14), st.integers(-14, 14)).map(str)
+
+# Random text over the class-expression alphabet, plus the reference brackets.
+TOKENS = [*"0123456789", " ", "x", "theta", "+", "-", "*", "/", "^", "<", ">"]
+grammar_text = st.lists(st.sampled_from(TOKENS), max_size=16).map("".join)
+
+
+@st.composite
+def references(draw):
+    name = draw(st.sampled_from(sorted(NAMED_CLASSES)))
+    arity = len(NAMED_CLASSES[name][0].split())
+    args = draw(st.lists(small_ints, min_size=max(0, arity - 2), max_size=arity + 1))
+    return "<" + " ".join([name, *args]) + ">"
+
+
+@st.composite
+def sums(draw, degree):
+    """Well-formed sums of monomials, homogeneous of the given degree if it is not None."""
+    exponents = st.tuples(st.integers(0, 4), st.integers(0, 4)) if degree is None else \
+        st.integers(0, max(degree, 0)).map(lambda i: (i, max(degree, 0) - i))
+    terms = draw(st.lists(st.tuples(st.integers(-9, 9), exponents), min_size=1, max_size=4))
+    return " + ".join(f"{c}*x^{i}*theta^{j}" if c >= 0 else f"0 - {-c}*x^{i}*theta^{j}"
+                      for c, (i, j) in terms)
+
+
+CLASS_FLAGS = ["g", "d", "n", "r", "m", "rank", "f", "dim-v", "max-degree"]
+
+
+@st.composite
+def argvs(draw):
+    """A verb with mostly the flags it takes, values mostly near a valid ambient."""
+    verb = draw(st.sampled_from(["class", "eval", "pair", "pushpull", "cone", "verify", "bogus"]))
+    g = draw(st.one_of(st.integers(2, 14), st.integers(-14, 14)))
+    d = draw(st.one_of(st.integers(max(1, g - 4), max(1, g)), st.integers(-14, 14)))
+
+    def expression(degree=None):
+        return draw(st.one_of(grammar_text, references(), sums(degree)))
+
+    def degree():
+        return draw(st.sampled_from([d, d - 1, 1, None]))
+
+    flags = {"g": str(g), "d": str(d)}
+    taken = ["g", "d"]
+    if verb == "class":
+        name = draw(st.sampled_from([*NAMED_CLASSES, "rho", "nope"]))
+        params = NAMED_CLASSES[name][0] if name in NAMED_CLASSES else "g r d"
+        taken = [param.strip("[]") for param in params.split()]
+        flags = {"name": name, **{flag: flags.get(flag) or draw(small_ints) for flag in CLASS_FLAGS}}
+        taken.append("name")
+    elif verb == "eval":
+        flags["expr"] = expression(d)
+        taken.append("expr")
+    elif verb == "pair":
+        p = degree()
+        flags["a"] = expression(p)
+        flags["b"] = expression(None if p is None else d - p)
+        taken += ["a", "b"]
+    elif verb == "pushpull":
+        flags["k"] = draw(small_ints)
+        flags["expr"] = expression(degree())
+        taken += ["k", "expr"]
+    elif verb == "cone":
+        flags["curve"] = draw(st.sampled_from([c.value for c in CurveClass]))
+        taken.append("curve")
+        if draw(st.booleans()):
+            flags["query"] = expression(1)
+            taken.append("query")
+    elif verb == "verify":
+        flags = {"g-min": str(g), "g-max": draw(small_ints)}
+        taken = list(flags)
+    foreign = draw(st.sampled_from([*CLASS_FLAGS, "expr", "query", "k"]))
+    flags.setdefault(foreign, draw(small_ints))
+    argv = [verb]
+    for flag, value in flags.items():
+        # the flags a verb takes are there nine times in ten, the others one time in ten
+        if draw(st.integers(0, 9)) < (9 if flag in taken else 1):
+            argv += [f"--{flag}", value]
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--format", draw(st.sampled_from(["text", "json", "csv", "xml"]))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_main_exits_with_documented_codes(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(grammar_text, st.integers(2, 14), st.integers(1, 14))
+def test_parse_class_returns_a_class_or_a_syntax_error(text, g, d):
+    try:
+        result = parse_class(text, Ambient(g, d))
+    except ClassSyntaxError:
+        return
+    assert isinstance(result, NSClass)
