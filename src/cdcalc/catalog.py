@@ -72,8 +72,7 @@ class LinearSeries(Record):
             raise ValueError(f"series degree must be nonnegative, got n={n}")
         if r < 0:
             raise ValueError(f"series dimension must be nonnegative, got r={r}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
+        super().__init__(n, r)
 
 
 class SystemData(Record):
@@ -86,9 +85,7 @@ class SystemData(Record):
             raise ValueError(f"system rank must be positive, got {rank}")
         if dim_v < 0:
             raise ValueError(f"section-space dimension must be nonnegative, got {dim_v}")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "dim_v", dim_v)
+        super().__init__(rank, degree, dim_v)
 
 
 class KernelBundleData(Record):
@@ -105,8 +102,7 @@ class KernelBundleData(Record):
             raise ValueError(
                 f"kernel bundle needs at least 2 sections, got h^0={base_sections}"
             )
-        object.__setattr__(self, "base_degree", base_degree)
-        object.__setattr__(self, "base_sections", base_sections)
+        super().__init__(base_degree, base_sections)
 
     @property
     def kernel_rank(self) -> int:

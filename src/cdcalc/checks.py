@@ -57,25 +57,13 @@ __all__ = [
 class CheckResult(Record):
     __slots__ = ("check_id", "params", "lhs", "rhs", "passed", "micros")
 
-    def __init__(self, check_id: str, params: dict[str, int], lhs: str, rhs: str,
-                 passed: bool, micros: int):
-        object.__setattr__(self, "check_id", check_id)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "micros", micros)
-
 
 class Report(Record):
     __slots__ = ("version", "g_min", "g_max", "checks")
 
     def __init__(self, version: str, g_min: int, g_max: int,
                  checks: list[CheckResult] | None = None):
-        object.__setattr__(self, "version", version)
-        object.__setattr__(self, "g_min", g_min)
-        object.__setattr__(self, "g_max", g_max)
-        object.__setattr__(self, "checks", [] if checks is None else checks)
+        super().__init__(version, g_min, g_max, [] if checks is None else checks)
 
     @property
     def total(self) -> int:

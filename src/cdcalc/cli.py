@@ -41,9 +41,9 @@ def _tokenize(expr: str) -> list[tuple[str, object, int]]:
         ch = expr[pos]
         if ch.isspace():
             pos += 1
-        elif ch.isdigit():
+        elif ch in "0123456789":  # not isdigit(), which also takes "²" and "٣"
             end = pos
-            while end < len(expr) and expr[end].isdigit():
+            while end < len(expr) and expr[end] in "0123456789":
                 end += 1
             tokens.append(("int", int(expr[pos:end]), pos))
             pos = end

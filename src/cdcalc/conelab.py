@@ -49,8 +49,7 @@ class ConeRay(Record):
         if a == 0 and b == 0:
             raise ValueError("a ray needs a nonzero direction")
         scale = abs(a) if a != 0 else abs(b)
-        object.__setattr__(self, "theta", a / scale)
-        object.__setattr__(self, "x", b / scale)
+        super().__init__(a / scale, b / scale)
 
     def __str__(self) -> str:
         terms = ((self.theta, "theta"), (self.x, "x"))
@@ -80,8 +79,7 @@ class Cone2D(Record):
             raise ValueError("degenerate cone: rays are proportional")
         if _sort_key(ray2) < _sort_key(ray1):
             ray1, ray2 = ray2, ray1
-        object.__setattr__(self, "ray1", ray1)
-        object.__setattr__(self, "ray2", ray2)
+        super().__init__(ray1, ray2)
 
 
 def ray_from_class(c: NSClass) -> ConeRay:
@@ -144,14 +142,40 @@ class BoundEntry(Record):
 
     __slots__ = ("curve", "g", "d", "ray", "status", "source")
 
-    def __init__(self, curve: CurveClass, g: int, d: int, ray: ConeRay,
-                 status: BoundStatus, source: str):
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "ray", ray)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "source", source)
+
+# (curve, g - d) -> (t, source) for the proved boundary ray theta - t*x of a special curve.
+_SPECIAL_RAYS = {
+    (CurveClass.HYPERELLIPTIC, 2): (3, "non-diagonal boundary ray on C_(g-2), hyperelliptic curve"),
+    (CurveClass.HYPERELLIPTIC, 1): (2, "non-diagonal boundary ray on C_(g-1), hyperelliptic curve"),
+    (CurveClass.TRIGONAL, 2): (2, "non-diagonal boundary ray on C_(g-2), trigonal curve"),
+}
+
+# min(m, 3) for m = (g - d)/2 -> (status, source) of the general curve's ray theta - (g/d)*x.
+_GENERAL_RAYS = {
+    1: (BoundStatus.PROVED_BOUNDARY,
+        "boundary ray: pairs to zero against the pencil-subordinate curve class"),
+    2: (BoundStatus.EFFECTIVE_BOUND,
+        "bound by an honest effective divisor (secant behavior of the push-pull locus)"),
+    3: (BoundStatus.VIRTUAL_BOUND,
+        "bound by a virtual divisor class (push-pull of the moving-divisor locus)"),
+}
+
+
+def _bounds(curve: CurveClass, g: int, d: int) -> list[BoundEntry]:
+    """The catalogue's entries for (curve, g, d); empty unless 2 <= d < g, and wherever it is silent."""
+    if not 2 <= d < g:
+        return []
+    if (curve, g - d) in _SPECIAL_RAYS:
+        t, source = _SPECIAL_RAYS[curve, g - d]
+        return [BoundEntry(curve, g, d, ConeRay(Fraction(1), Fraction(-t)),
+                           BoundStatus.PROVED_BOUNDARY, source)]
+    if curve is CurveClass.GENERAL and g >= 5 and (g - d) % 2 == 0:
+        status, source = _GENERAL_RAYS[min((g - d) // 2, 3)]
+        return [BoundEntry(curve, g, d, ConeRay(Fraction(1), Fraction(-g, d)), status, source)]
+    if curve is CurveClass.PLANE_QUINTIC and (g, d) == (6, 4):
+        return [BoundEntry(curve, g, d, ConeRay(Fraction(1), Fraction(-2)), BoundStatus.EXCLUSION,
+                           "excluded direction: no effective divisor on C_4 is proportional to it")]
+    return []
 
 
 def known_bounds(curve: CurveClass, g: int, d: int) -> list[BoundEntry]:
@@ -160,63 +184,18 @@ def known_bounds(curve: CurveClass, g: int, d: int) -> list[BoundEntry]:
     Raises for (curve, g, d) combinations the catalog says nothing about.
     """
     curve = CurveClass(curve)
-    if curve is CurveClass.HYPERELLIPTIC and d >= 2 and d == g - 2:
-        return [
-            BoundEntry(curve, g, d, ConeRay(Fraction(1), Fraction(-3)),
-                       BoundStatus.PROVED_BOUNDARY,
-                       "non-diagonal boundary ray on C_(g-2), hyperelliptic curve")
-        ]
-    if curve is CurveClass.HYPERELLIPTIC and d >= 2 and d == g - 1:
-        return [
-            BoundEntry(curve, g, d, ConeRay(Fraction(1), Fraction(-2)),
-                       BoundStatus.PROVED_BOUNDARY,
-                       "non-diagonal boundary ray on C_(g-1), hyperelliptic curve")
-        ]
-    if curve is CurveClass.TRIGONAL and d >= 2 and d == g - 2:
-        return [
-            BoundEntry(curve, g, d, ConeRay(Fraction(1), Fraction(-2)),
-                       BoundStatus.PROVED_BOUNDARY,
-                       "non-diagonal boundary ray on C_(g-2), trigonal curve")
-        ]
-    if curve is CurveClass.GENERAL and g >= 5 and d >= 2 and (g - d) % 2 == 0 and d < g:
-        m = (g - d) // 2
-        status = {1: BoundStatus.PROVED_BOUNDARY, 2: BoundStatus.EFFECTIVE_BOUND}.get(
-            m, BoundStatus.VIRTUAL_BOUND
-        )
-        source = {
-            BoundStatus.PROVED_BOUNDARY:
-                "boundary ray: pairs to zero against the pencil-subordinate curve class",
-            BoundStatus.EFFECTIVE_BOUND:
-                "bound by an honest effective divisor (secant behavior of the push-pull locus)",
-            BoundStatus.VIRTUAL_BOUND:
-                "bound by a virtual divisor class (push-pull of the moving-divisor locus)",
-        }[status]
-        return [BoundEntry(curve, g, d, ConeRay(Fraction(1), Fraction(-g, d)), status, source)]
-    if curve is CurveClass.PLANE_QUINTIC and (g, d) == (6, 4):
-        return [
-            BoundEntry(curve, g, d, ConeRay(Fraction(1), Fraction(-2)),
-                       BoundStatus.EXCLUSION,
-                       "excluded direction: no effective divisor on C_4 is proportional to it")
-        ]
-    raise ValueError(f"no catalogued bound for ({curve.value}, g={g}, d={d})")
+    entries = _bounds(curve, g, d)
+    if not entries:
+        raise ValueError(f"no catalogued bound for ({curve.value}, g={g}, d={d})")
+    return entries
 
 
 def full_catalog(g_min: int, g_max: int) -> list[BoundEntry]:
     """Every catalogued entry with genus in [g_min, g_max], deterministically ordered."""
     if g_min > g_max:
         raise ValueError(f"empty genus range [{g_min}, {g_max}]")
-    entries: list[BoundEntry] = []
-    for g in range(g_min, g_max + 1):
-        for d in (g - 2, g - 1):
-            if d >= 2:
-                entries.extend(known_bounds(CurveClass.HYPERELLIPTIC, g, d))
-        if g - 2 >= 2:
-            entries.extend(known_bounds(CurveClass.TRIGONAL, g, g - 2))
-        if g >= 5:
-            for d in range(g - 2, 1, -2):
-                entries.extend(known_bounds(CurveClass.GENERAL, g, d))
-        if g == 6:
-            entries.extend(known_bounds(CurveClass.PLANE_QUINTIC, 6, 4))
+    entries = [entry for curve in CurveClass for g in range(g_min, g_max + 1)
+               for d in range(2, g) for entry in _bounds(curve, g, d)]
     entries.sort(key=lambda e: (e.curve.value, e.g, e.d))
     return entries
 

@@ -58,6 +58,15 @@ def test_parse_errors_carry_positions():
         parse_class("1*x 2*theta", amb)
 
 
+@pytest.mark.parametrize("expr, position", [
+    ("²*x", 0), ("1*x^²", 4), ("1/²*x", 2), ("٣*x", 0),
+])
+def test_parse_takes_only_ascii_digits(expr, position):
+    with pytest.raises(ClassSyntaxError, match="unexpected character") as info:
+        parse_class(expr, Ambient(6, 4))
+    assert info.value.position == position
+
+
 def test_resolve_named_reference():
     amb = Ambient(6, 4)
     resolved = resolve_class("<gamma 6 4 5 1>", amb)

@@ -179,6 +179,15 @@ def test_known_bounds_unsupported():
         known_bounds(CurveClass.HYPERELLIPTIC, 3, 1)
 
 
+@pytest.mark.parametrize("curve", list(CurveClass))
+def test_known_bounds_only_for_d_between_2_and_g(curve):
+    # full_catalog enumerates exactly 2 <= d < g, so nothing may lie outside
+    for g in range(-3, 30):
+        for d in [*range(-3, 2), *range(g, g + 4)]:
+            with pytest.raises(ValueError, match="no catalogued bound"):
+                known_bounds(curve, g, d)
+
+
 def test_full_catalog_contents():
     entries = full_catalog(6, 6)
     combos = {(e.curve, e.d) for e in entries}

@@ -1,12 +1,16 @@
-"""Package-level guards: the lazy namespace, the CLI's import set, stdlib only."""
+"""Package-level guards: the lazy namespace, the CLI's import set, stdlib only,
+one value-type base."""
 
 import ast
+import importlib
 import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cdcalc"
@@ -61,3 +65,49 @@ def test_package_imports_only_the_standard_library():
             outside += [f"{path.name}: {n}" for n in names
                         if n.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+@pytest.mark.parametrize("module", ["nsring", "catalog", "conelab", "checks"])
+def test_exports_row_equals_module_all(module):
+    import cdcalc
+
+    names = importlib.import_module(f"cdcalc.{module}").__all__
+    assert set(cdcalc._EXPORTS[module]) == set(names)
+
+
+def _trees():
+    trees = [(path.name, ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    assert trees, f"no sources under {PACKAGE}"
+    return trees
+
+
+def test_slotted_classes_are_records():
+    outside = []
+    for name, tree in _trees():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            slotted = any(isinstance(stmt, ast.Assign)
+                          and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets)
+                          for stmt in cls.body)
+            bases = {getattr(base, "id", None) for base in cls.bases}
+            if slotted and cls.name != "Record" and "Record" not in bases:
+                outside.append(f"{name}: {cls.name}")
+    assert outside == []
+
+
+def test_object_setattr_only_in_the_three_constructors():
+    allowed = {("Record", "__init__"), ("Ambient", "__init__"), ("NSClass", "__init__")}
+    stray = []
+    for name, tree in _trees():
+        inside = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for method in cls.body:
+                    if isinstance(method, ast.FunctionDef) and (cls.name, method.name) in allowed:
+                        inside.update(map(id, ast.walk(method)))
+        stray += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                  and getattr(node.value, "id", None) == "object" and id(node) not in inside]
+    assert stray == []

@@ -59,7 +59,7 @@ def test_equality_needs_same_type():
     assert hash(Ambient(6, 4)) == hash(Ambient(6, 4))
 
 
-@pytest.mark.parametrize("value", VALUES[1:], ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
 def test_fields_cannot_be_set_or_deleted(value):
     field = type(value).__slots__[0]
     with pytest.raises(AttributeError):
@@ -91,3 +91,16 @@ def test_rays_stay_normalised_after_pickle():
     cone = pickle.loads(pickle.dumps(Cone2D(RAY, ConeRay(Fraction(0), Fraction(2)))))
     assert cone.ray1 == RAY
     assert (cone.ray2.theta, cone.ray2.x) == (Fraction(0), Fraction(1))
+
+
+@pytest.mark.parametrize("values", [(), ("demo",), ("demo", {}, "1", "1", True, 7, 0)])
+def test_default_constructor_needs_one_value_per_field(values):
+    fields = r"CheckResult takes 6 values \(check_id, params, lhs, rhs, passed, micros\)"
+    with pytest.raises(TypeError, match=fields):
+        CheckResult(*values)
+
+
+def test_default_constructor_is_positional_only():
+    with pytest.raises(TypeError):
+        BoundEntry(curve=CurveClass.GENERAL, g=6, d=4, ray=RAY,
+                   status=BoundStatus.PROVED_BOUNDARY, source="demo")
