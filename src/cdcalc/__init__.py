@@ -8,10 +8,11 @@ determinants), their intersection numbers, two-ray effective-cone
 arithmetic, and a dual-path verification suite over genus sweeps.
 
 The names below load lazily: `_EXPORTS` maps each submodule to the public
-names it defines, and the first access to a name (`cdcalc.pair`,
-`from cdcalc import pair`, `from cdcalc import *`) imports that submodule
-and caches the name here.  So `import cdcalc` stays cheap, and a command
-that never touches the verification suite never imports it.
+names it defines, and each submodule's `__all__` is read from its row.  The
+first access to a name (`cdcalc.pair`, `from cdcalc import pair`,
+`from cdcalc import *`) imports that submodule and caches the name here.
+So `import cdcalc` stays cheap, and a command that never touches the
+verification suite never imports it.
 """
 
 from importlib import import_module

@@ -26,26 +26,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from . import _EXPORTS
 from .nsring import Ambient, NSClass, Record, canonical_class
 
-__all__ = [
-    "KernelBundleData",
-    "NAMED_CLASSES",
-    "LinearSeries",
-    "SystemData",
-    "binom",
-    "brill_noether_rho",
-    "c1d_class",
-    "chern_character",
-    "diagonal_class",
-    "dm_class",
-    "kernel_twist_h1",
-    "mult_degeneracy_class",
-    "pushpull",
-    "subordinate_class",
-    "system_c1",
-    "twisted_kernel_class",
-]
+__all__ = list(_EXPORTS["catalog"])
 
 
 def binom(a: int, j: int) -> int:

@@ -21,6 +21,7 @@ import time
 from fractions import Fraction
 from math import comb
 
+from . import _EXPORTS
 from ._version import __version__
 from .catalog import (
     KernelBundleData,
@@ -38,20 +39,7 @@ from .catalog import (
 )
 from .nsring import Ambient, NSClass, Record, format_class, format_rational, pair
 
-__all__ = [
-    "CheckResult",
-    "Report",
-    "check_kernel_decomposition",
-    "check_mult_and_chern",
-    "check_pencil_pairings",
-    "check_plane_quintic",
-    "check_pushpull_closed_form",
-    "pairing_sum_theta",
-    "pairing_sum_x",
-    "report_csv",
-    "report_json",
-    "run_all",
-]
+__all__ = list(_EXPORTS["checks"])
 
 
 class CheckResult(Record):

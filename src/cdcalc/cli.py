@@ -34,6 +34,16 @@ class ClassSyntaxError(ValueError):
 
 # -- class-expression grammar -------------------------------------------------
 
+# Class input takes ASCII digits only: str.isdigit() and int() also accept
+# "²", "٣", "1_0" and "+5".
+_DIGITS = frozenset("0123456789")
+
+
+def _is_int_literal(text: str) -> bool:
+    digits = text.removeprefix("-")
+    return bool(digits) and _DIGITS.issuperset(digits)
+
+
 def _tokenize(expr: str) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
     pos = 0
@@ -41,9 +51,9 @@ def _tokenize(expr: str) -> list[tuple[str, object, int]]:
         ch = expr[pos]
         if ch.isspace():
             pos += 1
-        elif ch in "0123456789":  # not isdigit(), which also takes "²" and "٣"
+        elif ch in _DIGITS:
             end = pos
-            while end < len(expr) and expr[end] in "0123456789":
+            while end < len(expr) and expr[end] in _DIGITS:
                 end += 1
             tokens.append(("int", int(expr[pos:end]), pos))
             pos = end
@@ -165,10 +175,9 @@ def resolve_class(text: str, amb: Ambient) -> NSClass:
     name, raw_args = fields[0], fields[1:]
     if name not in NAMED_CLASSES:
         raise UsageError(f"unknown class reference '{name}'; known: {', '.join(sorted(NAMED_CLASSES))}")
-    try:
-        args = [int(a) for a in raw_args]
-    except ValueError:
-        raise UsageError(f"class reference arguments must be integers: {text!r}") from None
+    if not all(map(_is_int_literal, raw_args)):
+        raise UsageError(f"class reference arguments must be integers: {text!r}")
+    args = [int(a) for a in raw_args]
     cls = _build_named(name, args)
     if cls.ambient != amb:
         raise UsageError(f"class reference lives on {cls.ambient}, command ambient is {amb}")

@@ -15,24 +15,11 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
+from . import _EXPORTS
 from .catalog import diagonal_class
 from .nsring import Ambient, NSClass, Record, _coerce_coeff, _signed_sum, format_rational
 
-__all__ = [
-    "BoundEntry",
-    "BoundStatus",
-    "Cone2D",
-    "ConeRay",
-    "CurveClass",
-    "bounds_from_json",
-    "bounds_to_json",
-    "contains",
-    "full_catalog",
-    "general_effective_cone_gm2",
-    "known_bounds",
-    "ray_from_class",
-    "slope",
-]
+__all__ = list(_EXPORTS["conelab"])
 
 
 class ConeRay(Record):

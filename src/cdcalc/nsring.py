@@ -31,15 +31,9 @@ from fractions import Fraction
 from math import factorial, lcm
 from operator import attrgetter
 
-__all__ = [
-    "Ambient",
-    "NSClass",
-    "canonical_class",
-    "eval_top",
-    "format_class",
-    "format_rational",
-    "pair",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["nsring"])
 
 RationalInput = int | Fraction
 
@@ -112,11 +106,7 @@ class Ambient(Record):
             raise ValueError(f"genus must be at least 2, got g={g}")
         if d < 1:
             raise ValueError(f"symmetric power index must be at least 1, got d={d}")
-        # Direct assignment, not Record.__init__: one run_all(5, 120) builds
-        # about 11k Ambient and 14k NSClass objects, and the generic
-        # constructor costs each about 0.8 us more, some 6% of that sweep.
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "d", d)
+        super().__init__(g, d)
 
     def zero(self) -> "NSClass":
         return NSClass(self, {})
@@ -158,8 +148,7 @@ class NSClass(Record):
             coeff = _coerce_coeff(raw)
             if coeff:
                 clean[(i, j)] = coeff
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "_terms", clean)  # direct, as in Ambient.__init__
+        super().__init__(ambient, clean)
 
     # -- inspection ---------------------------------------------------------
 

@@ -91,6 +91,17 @@ def test_resolve_reference_errors():
         resolve_class("<gamma 6 4 5 1", amb)
 
 
+@pytest.mark.parametrize("ref", [
+    "<gamma ٦ 4 5 1>", "<gamma 6 4 5 ¹>", "<gamma 6 4 5 +1>", "<gamma 6 4 5 0_1>",
+    "<gamma 6 4 5 ->", "<gamma 6 4 5 --1>",
+])
+def test_reference_takes_only_ascii_integers(ref):
+    from cdcalc.cli import UsageError
+
+    with pytest.raises(UsageError, match="must be integers"):
+        resolve_class(ref, Ambient(6, 4))
+
+
 # -- verbs --------------------------------------------------------------------
 
 def test_class_gamma(capsys):

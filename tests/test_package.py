@@ -2,15 +2,12 @@
 one value-type base."""
 
 import ast
-import importlib
 import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
-
-import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cdcalc"
@@ -67,14 +64,6 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
-@pytest.mark.parametrize("module", ["nsring", "catalog", "conelab", "checks"])
-def test_exports_row_equals_module_all(module):
-    import cdcalc
-
-    names = importlib.import_module(f"cdcalc.{module}").__all__
-    assert set(cdcalc._EXPORTS[module]) == set(names)
-
-
 def _trees():
     trees = [(path.name, ast.parse(path.read_text(encoding="utf-8")))
              for path in sorted(PACKAGE.glob("*.py"))]
@@ -97,8 +86,8 @@ def test_slotted_classes_are_records():
     assert outside == []
 
 
-def test_object_setattr_only_in_the_three_constructors():
-    allowed = {("Record", "__init__"), ("Ambient", "__init__"), ("NSClass", "__init__")}
+def test_object_setattr_only_in_record_init():
+    allowed = {("Record", "__init__")}
     stray = []
     for name, tree in _trees():
         inside = set()
