@@ -49,7 +49,7 @@ def _tokenize(expr: str) -> list[tuple[str, object, int]]:
     pos = 0
     while pos < len(expr):
         ch = expr[pos]
-        if ch.isspace():
+        if ch in " \t":  # ASCII only, so every error position is also a byte offset
             pos += 1
         elif ch in _DIGITS:
             end = pos

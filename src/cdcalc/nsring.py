@@ -10,25 +10,30 @@ truncated above degree d (those classes vanish for dimension reasons).
 
 Top-degree monomials evaluate by the Poincare formula
 
-    x^k * theta^(d-k) = g! / (g-d+k)!        for 0 <= k <= d <= g,
+    x^k * theta^(d-k) = g! / (g-d+k)! = g (g-1) ... (g-d+k+1)
+                                             for 0 <= k <= d <= g,
 
-extended linearly.  `pair` evaluates against the same weights without
-building the product class: each side is put over one common denominator,
-the numerators are summed against g!/(g-d+i1+i2)! in integers, and a single
-Fraction is built at the end.
+extended linearly.  The weight of x^k is a falling product of only d-k
+factors, so one call builds all the weights it needs in one pass, one factor
+at a time, down to the lowest x-exponent present.  `eval_top` and `pair`
+share that path: each side is put over one common denominator, its integer
+numerators are summed against the weights, and a single Fraction is built
+at the end.  `pair` never builds the product class.
 
 Equality of classes is formal (coefficient-wise): no relations among the
 monomials x^i theta^j below top degree are imposed, so the ring is valid
 for any curve, not only those whose Neron-Severi space the two classes span.
 
 Everything here is immutable after construction and all operations are pure
-functions, so values can be shared freely between concurrent workers.
+functions, so values can be shared freely between concurrent workers.  The
+one piece of module state is the table of monomial keys (see `NSClass`),
+which only ever gains entries, through the atomic `dict.setdefault`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from operator import attrgetter
 
 from . import _EXPORTS
@@ -127,27 +132,41 @@ class Ambient(Record):
         return f"(g={self.g}, d={self.d})"
 
 
+# The shared monomial keys: (i, j) -> the one (i, j) tuple every class stores.
+_KEYS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
 class NSClass(Record):
     """A formal polynomial in x and theta with exact rational coefficients.
 
     Terms are stored sparsely as a map (i, j) -> coefficient for the monomial
-    x^i theta^j.  Terms of total degree above the ambient d are dropped at
-    construction, and zero coefficients are pruned, so equal classes always
-    have identical term maps.
+    x^i theta^j.  Exponents must be ints (not floats or bools).  Terms of
+    total degree above the ambient d are dropped at construction, and zero
+    coefficients are pruned, so equal classes always have identical term
+    maps.
+
+    Every key is stored through the module table `_KEYS`, so all classes
+    holding x^i theta^j share one (i, j) tuple.  Only stored keys enter the
+    table, so it holds at most (D+1)(D+2)/2 keys, D being the largest degree
+    of any term ever stored.
     """
 
     __slots__ = ("ambient", "_terms")
 
     def __init__(self, ambient: Ambient, terms=None):
         clean: dict[tuple[int, int], Fraction] = {}
-        for (i, j), raw in (terms or {}).items():
+        d, shared = ambient.d, _KEYS.setdefault
+        for key, raw in (terms or {}).items():
+            i, j = key
+            if type(i) is not int or type(j) is not int:
+                raise TypeError(f"exponents must be ints, got x^{i!r}*theta^{j!r}")
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in term x^{i}*theta^{j}")
-            if i + j > ambient.d:
+            if i + j > d:
                 continue  # vanishes for dimension reasons
             coeff = _coerce_coeff(raw)
             if coeff:
-                clean[(i, j)] = coeff
+                clean[shared(key, key)] = coeff
         super().__init__(ambient, clean)
 
     # -- inspection ---------------------------------------------------------
@@ -295,9 +314,16 @@ def format_class(c: NSClass) -> str:
     return _signed_sum((terms[key], _format_monomial(*key)) for key in keys)
 
 
-def _top_weight(g: int, d: int, i: int) -> int:
-    """The Poincare value of x^i theta^(d-i) on C_d: g!/(g-d+i)!."""
-    return factorial(g) // factorial(g - d + i)
+def _top_weights(g: int, d: int, low: int) -> list[int]:
+    """Poincare values on C_d: entry k is g!/(g-k)!, the value of x^(d-k) theta^k.
+
+    The cumulative falling product g (g-1) ... (g-k+1), built one factor at a
+    time for k = 0 .. d-low, i.e. for every x-exponent from d down to low.
+    """
+    weights = [1]
+    for k in range(d - low):
+        weights.append(weights[-1] * (g - k))
+    return weights
 
 
 def _check_evaluable(amb: Ambient) -> None:
@@ -325,10 +351,9 @@ def eval_top(c: NSClass) -> Fraction:
         return Fraction(0)
     if c.pure_degree() != d:
         raise ValueError(f"not a top-degree class: need pure degree {d}, got {format_class(c)}")
-    total = Fraction(0)
-    for (i, _j), coeff in c.terms().items():
-        total += coeff * _top_weight(g, d, i)
-    return total
+    nums, den = _x_numerators(c)
+    weights = _top_weights(g, d, min(i for i, _n in nums))
+    return Fraction(sum(n * weights[d - i] for i, n in nums), den)
 
 
 def pair(a: NSClass, b: NSClass) -> Fraction:
@@ -351,10 +376,11 @@ def pair(a: NSClass, b: NSClass) -> Fraction:
     _check_evaluable(a.ambient)
     nums_a, den_a = _x_numerators(a)
     nums_b, den_b = _x_numerators(b)
+    weights = _top_weights(g, d, min(i for i, _n in nums_a) + min(i for i, _n in nums_b))
     total = 0
     for i1, n1 in nums_a:
-        for i2, n2 in nums_b:
-            total += n1 * n2 * _top_weight(g, d, i1 + i2)
+        top = d - i1
+        total += n1 * sum(n2 * weights[top - i2] for i2, n2 in nums_b)
     return Fraction(total, den_a * den_b)
 
 

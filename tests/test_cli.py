@@ -1,5 +1,8 @@
 import json
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -56,6 +59,15 @@ def test_parse_errors_carry_positions():
         parse_class("   ", amb)
     with pytest.raises(ClassSyntaxError, match="between terms"):
         parse_class("1*x 2*theta", amb)
+
+
+@pytest.mark.parametrize("space", ["\u3000", "\u00a0", "\n"])
+def test_only_ascii_space_and_tab_separate(space):
+    amb = Ambient(6, 4)
+    assert parse_class("1*theta\t-  2*x", amb) == amb.theta() - 2 * amb.x()
+    with pytest.raises(ClassSyntaxError, match=r"unexpected character .* \(byte 3\)") as info:
+        parse_class("1*x" + space + "%", amb)
+    assert info.value.position == len("1*x".encode())
 
 
 @pytest.mark.parametrize("expr, position", [
@@ -133,6 +145,17 @@ def test_class_missing_flags(capsys):
 def test_eval_verb(capsys):
     code, out, _ = run_cli(capsys, "eval", "--g", "6", "--d", "4", "--expr", "1*theta^4")
     assert code == 0 and out == "360\n"
+
+
+@pytest.mark.parametrize("expr, value", [("1*x", "1"), ("1*theta", "3000000")])
+def test_eval_verb_large_genus_in_bounded_time(expr, value):
+    argv = ["eval", "--g", "3000000", "--d", "1", "--expr", expr]
+    program = "import sys; from cdcalc.cli import main; sys.exit(main(sys.argv[1:]))"
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", program, *argv], capture_output=True, text=True, timeout=30)
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stdout, done.stderr) == (0, value + "\n", "")
+    assert elapsed < 2.0, f"eval took {elapsed:.2f}s"
 
 
 def test_pair_verb_with_reference(capsys):

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cdcalc import NAMED_CLASSES, Ambient, CurveClass, NSClass
 from cdcalc.cli import ClassSyntaxError, main, parse_class
 
-# |g| <= 14 keeps eval_top's factorials small; mostly positive, so some calls succeed.
+# |g| <= 14 keeps verify sweeps and named-class builders quick; mostly positive, so some calls succeed.
 small_ints = st.one_of(st.integers(1, 14), st.integers(-14, 14)).map(str)
 
 # Random text over the class-expression alphabet, plus the reference brackets.

@@ -1,11 +1,15 @@
+import pickle
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
-from cdcalc import Ambient, NSClass, canonical_class, eval_top, format_class, format_rational, pair
+from cdcalc import Ambient, NSClass, canonical_class, eval_top, format_class, format_rational, nsring, pair
+from cdcalc.cli import parse_class
 from conftest import random_ambient, random_class, random_fraction
 
 
@@ -30,6 +34,21 @@ def test_monomial_arithmetic():
 def test_negative_exponents_rejected():
     with pytest.raises(ValueError):
         NSClass(Ambient(6, 4), {(-1, 0): 1})
+
+
+@pytest.mark.parametrize("key", [(2.0, 0), (1, 0.5), (True, 0), (0, False), ("2", 0)])
+def test_exponents_must_be_ints(key):
+    with pytest.raises(TypeError, match="exponents must be ints"):
+        NSClass(Ambient(6, 4), {key: 1})
+
+
+def test_refused_float_exponent_leaves_later_keys_intact():
+    amb = Ambient(6, 4)
+    with pytest.raises(TypeError):
+        NSClass(amb, {(2.0, 0): 1})
+    later = NSClass(amb, {(2, 0): 1})
+    assert format_class(later) == "1*x^2"
+    assert all(type(e) is int for key in later.terms() for e in key)
 
 
 def test_floats_rejected():
@@ -157,6 +176,26 @@ def test_pair_degree_mismatch():
         pair(excess.theta(), excess.monomial(1, 3))
 
 
+def test_eval_top_large_genus_is_fast():
+    amb = Ambient(3 * 10**6, 1)
+    start = time.perf_counter()
+    assert eval_top(amb.x()) == 1
+    assert eval_top(amb.theta()) == 3 * 10**6
+    assert eval_top(Ambient(3 * 10**6, 40).monomial(40, 0)) == 1
+    assert time.perf_counter() - start < 0.05
+
+
+def test_pair_large_genus_is_fast():
+    g = 10**6
+    amb = Ambient(g, 2)
+    a = amb.theta() - Fraction(1, 3) * amb.x()
+    start = time.perf_counter()
+    assert pair(amb.theta(), amb.theta()) == g * (g - 1)
+    assert pair(amb.x(), amb.theta()) == g
+    assert pair(a, a) == g * (g - 1) - Fraction(2, 3) * g + Fraction(1, 9)
+    assert time.perf_counter() - start < 0.05
+
+
 def test_pair_symmetry_and_bilinearity():
     rng = random.Random(412)
     for _ in range(300):
@@ -208,3 +247,68 @@ def test_format_class_canonical_order():
 def test_format_rational():
     assert format_rational(Fraction(-3, 2)) == "-3/2"
     assert format_rational(7) == "7"
+
+
+# -- shared monomial keys -------------------------------------------------------
+
+def _keys_by_value(cls):
+    return {key: key for key in cls._terms}
+
+
+def test_independent_classes_share_key_objects():
+    amb = Ambient(9, 5)
+    parsed = parse_class("3*x^2*theta + 1/2*x*theta^2 - 1*theta^3", amb)
+    built = (3 * amb.x() ** 2 * amb.theta() + Fraction(1, 2) * amb.x() * amb.theta() ** 2
+             - amb.theta() ** 3)
+    assert parsed == built
+    keys = _keys_by_value(built)
+    for key in parsed._terms:
+        assert keys[key] is key
+
+
+def test_pickle_round_trip_shares_keys():
+    amb = Ambient(9, 5)
+    cls = amb.one() + amb.x() * amb.theta() - 7 * amb.theta() ** 3
+    copy = pickle.loads(pickle.dumps(cls))
+    assert copy == cls
+    keys = _keys_by_value(cls)
+    for key in copy._terms:
+        assert keys[key] is key
+
+
+def test_key_table_is_bounded_by_the_largest_degree(monkeypatch):
+    monkeypatch.setattr(nsring, "_KEYS", {})
+    top = 12
+    amb = Ambient(40, top)
+    dense = NSClass(amb, {(i, j): i + j + 1 for i in range(top + 1) for j in range(top + 1 - i)})
+    dense * dense, dense ** 3, -dense, dense.homogeneous_part(7)
+    NSClass(amb, {(top + 1, 0): 1, (0, top + 5): 2})  # above degree d: dropped, never stored
+    assert len(nsring._KEYS) == (top + 1) * (top + 2) // 2
+
+
+def test_threads_racing_on_new_keys_agree_on_one_tuple(monkeypatch):
+    amb = Ambient(40, 30)
+    count = 31 * 32 // 2
+    workers = 8
+
+    def work(start, out):
+        start.wait(timeout=30)
+        out.append(NSClass(amb, {(i, j): 1 for i in range(31) for j in range(31 - i)}))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):  # each round races on a fresh table
+            monkeypatch.setattr(nsring, "_KEYS", {})
+            start, built = threading.Barrier(workers), []
+            threads = [threading.Thread(target=work, args=(start, built)) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(built) == workers and len(nsring._KEYS) == count
+            for cls in built:
+                assert all(nsring._KEYS[key] is key for key in cls._terms)
+    finally:
+        sys.setswitchinterval(interval)

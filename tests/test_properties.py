@@ -1,6 +1,7 @@
-"""Property checks for the integer hot paths: pairing, binomials, push-pull."""
+"""Property checks for the integer hot paths: pairing, evaluation, binomials, push-pull."""
 
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial
 
 from hypothesis import given, settings, strategies as st
@@ -42,9 +43,31 @@ def complementary_pairs(draw):
 @settings(max_examples=300, deadline=None)
 @given(complementary_pairs())
 def test_pair_agrees_with_eval_top_of_product(classes_ab):
-    # pair sums integer numerators against the weights; eval_top goes through the ring product
+    # pair never builds the product; eval_top goes through the ring product
     a, b = classes_ab
     assert pair(a, b) == eval_top(a * b)
+
+
+@st.composite
+def dense_top_classes(draw):
+    g = draw(st.integers(2, 7))
+    d = draw(st.integers(1, g))
+    coeffs = draw(st.lists(fractions, min_size=d + 1, max_size=d + 1))
+    return NSClass(Ambient(g, d), {(k, d - k): c for k, c in enumerate(coeffs)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_top_classes())
+def test_eval_top_counts_distinct_index_tuples(c):
+    # Macdonald: theta = sigma_1 + ... + sigma_g with sigma_i^2 = 0, and x^k sigma_I = 1 for
+    # every set I of d-k indices.  So x^k theta^(d-k) counts the ordered (d-k)-tuples of
+    # distinct indices, each surviving term of the expanded power once.
+    g, d = c.ambient.g, c.ambient.d
+    expected = sum(
+        c.coefficient(k, d - k) * sum(1 for _ in permutations(range(g), d - k))
+        for k in range(d + 1)
+    )
+    assert eval_top(c) == expected
 
 
 def _falling_binom(a: int, j: int) -> int:
