@@ -4,8 +4,8 @@ Every check computes its target along two genuinely different code paths —
 a closed-form expression on one side, an independent expansion on the other
 (raw push-pull summation, alternating factorial sums, or kernel-bundle
 dimension bookkeeping) — and passes only on exact rational agreement.
-Failures never abort a run: the suite doubles as a regression harness, so
-all checks execute and the report carries per-check status.
+Each `check_*` returns `(lhs, rhs, passed)` with both sides exact, and
+`run_all` times and renders them; a failure never aborts a run.
 
 Report ordering is fixed (sorted by check id, then parameters) no matter
 how the checks are scheduled, and the JSON rendering is byte-deterministic
@@ -69,8 +69,6 @@ class Report(Record):
 def _atom(value) -> str:
     if isinstance(value, NSClass):
         return format_class(value)
-    if isinstance(value, str):
-        return value
     return format_rational(value)
 
 
@@ -78,11 +76,6 @@ def _render(parts) -> str:
     if isinstance(parts, (tuple, list)):
         return "(" + ", ".join(_atom(p) for p in parts) + ")"
     return _atom(parts)
-
-
-def _result(check_id, params, lhs, rhs, passed, start_ns) -> CheckResult:
-    micros = max(0, (time.perf_counter_ns() - start_ns) // 1000)
-    return CheckResult(check_id, dict(params), _render(lhs), _render(rhs), bool(passed), int(micros))
 
 
 # -- closed-form oracles ------------------------------------------------------
@@ -114,14 +107,13 @@ def pairing_sum_x(g: int) -> Fraction:
 
 # -- individual checks --------------------------------------------------------
 
-def check_pencil_pairings(g: int) -> CheckResult:
+def check_pencil_pairings(g: int) -> tuple:
     """Pairings of theta, x and the boundary-candidate ray against the curve
     of divisors subordinate to a degree-(g-1) pencil on C_{g-2}.
 
     Ring path: subordinate-class expansion and top-degree evaluation.
     Oracle path: the alternating factorial sums.  Expected (g, g-2, 0).
     """
-    start = time.perf_counter_ns()
     if g < 5:
         raise ValueError(f"pencil pairings need g >= 5, got g={g}")
     amb = Ambient(g, g - 2)
@@ -129,41 +121,34 @@ def check_pencil_pairings(g: int) -> CheckResult:
     ring_path = (pair(amb.theta(), gamma), pair(amb.x(), gamma), pair(dm_class(g, 1), gamma))
     s_theta, s_x = pairing_sum_theta(g), pairing_sum_x(g)
     oracle_path = (s_theta, s_x, (g - 2) * s_theta - g * s_x)
-    expected = (Fraction(g), Fraction(g - 2), Fraction(0))
-    passed = ring_path == oracle_path == expected
-    return _result("pencil-pairings", {"g": g}, ring_path, oracle_path, passed, start)
+    return ring_path, oracle_path, ring_path == oracle_path == (g, g - 2, 0)
 
 
-def check_pushpull_closed_form(g: int, m: int) -> CheckResult:
+def check_pushpull_closed_form(g: int, m: int) -> tuple:
     """Raw push-pull of the moving-divisor class from C_{g-m} down to C_{g-2m}
     against its closed form binom(g,m)((g-2m)/g theta - x)."""
-    start = time.perf_counter_ns()
-    if m < 1 or 2 * m > g - 2:
-        raise ValueError(f"need 1 <= m <= g/2 - 1, got g={g}, m={m}")
+    closed = dm_class(g, m)  # first, so its range check guards the push-pull too
     raw = pushpull(c1d_class(Ambient(g, g - m)), m)
-    closed = dm_class(g, m)
-    return _result("pushpull-closed-form", {"g": g, "m": m}, raw, closed, raw == closed, start)
+    return raw, closed, raw == closed
 
 
-def check_kernel_decomposition(g: int) -> CheckResult:
+def check_kernel_decomposition(g: int) -> tuple:
     """Class of the subordinate locus of the canonical twist of the kernel
     bundle of K(-p), against the decomposition (push-pull class) + x.
 
     The twist has rank g-2 and degree (g-2)(2g-2)-(2g-3); with h^1 = g-1 the
     induced class lands on C_{g-2} and must equal (g-2)theta - (g-1)x.
     """
-    start = time.perf_counter_ns()
     if g < 5:
         raise ValueError(f"kernel decomposition check needs g >= 5, got g={g}")
     data = KernelBundleData(base_degree=2 * g - 3, base_sections=g - 1)
     twisted = twisted_kernel_class(g, data, kernel_twist_h1(data))
     decomposition = dm_class(g, 1) + Ambient(g, g - 2).x()
     literal = NSClass(Ambient(g, g - 2), {(0, 1): g - 2, (1, 0): -(g - 1)})
-    passed = twisted == decomposition == literal and twisted.ambient.d == g - 2
-    return _result("kernel-decomposition", {"g": g}, twisted, decomposition, passed, start)
+    return twisted, decomposition, twisted == decomposition == literal and twisted.ambient.d == g - 2
 
 
-def check_plane_quintic() -> CheckResult:
+def check_plane_quintic() -> tuple:
     """The genus-6 smooth plane quintic computations, at fixed (g, d) = (6, 4).
 
     (a) The push-pull divisor class is twice the class induced by the
@@ -174,7 +159,6 @@ def check_plane_quintic() -> CheckResult:
         to (6, 3, 0) against theta, x, theta-2x.
     (c) Sanity for the smaller pencil: theta and x pair to (0, 1) against it.
     """
-    start = time.perf_counter_ns()
     g, d = 6, 4
     amb = Ambient(g, d)
     data = KernelBundleData(base_degree=5, base_sections=3)
@@ -192,16 +176,15 @@ def check_plane_quintic() -> CheckResult:
     lhs = (dm, pair(amb.theta(), z), pair(amb.x(), z), pair(direction, z),
            pair(amb.theta(), gamma4), pair(amb.x(), gamma4))
     rhs = (2 * twisted, 6, 3, 0, 0, 1)
-    passed = (
+    return lhs, rhs, (
         h1_bookkeeping == h1_rule == 3
         and dm == 2 * twisted
         and twisted.ambient == amb
         and all(Fraction(a) == Fraction(b) for a, b in zip(lhs[1:], rhs[1:]))
     )
-    return _result("plane-quintic", {}, lhs, rhs, passed, start)
 
 
-def check_mult_and_chern(g: int, d: int, r: int, f: int) -> CheckResult:
+def check_mult_and_chern(g: int, d: int, r: int, f: int) -> tuple:
     """Degeneracy class of the multiplication map and the low-degree parts of
     the Chern character of the induced bundle.
 
@@ -210,7 +193,6 @@ def check_mult_and_chern(g: int, d: int, r: int, f: int) -> CheckResult:
     degree-0 part r*d and degree-1 part equal to the induced determinant,
     and (when d >= 2) degree-2 part (r*d+r*g-f-r)/2 x^2 - r x*theta.
     """
-    start = time.perf_counter_ns()
     amb = Ambient(g, d)
     mult = mult_degeneracy_class(g, d, r)
     mult_literal = NSClass(amb, {(0, 1): r, (1, 0): -(r + 1)})
@@ -221,12 +203,17 @@ def check_mult_and_chern(g: int, d: int, r: int, f: int) -> CheckResult:
     if d >= 2:
         lhs.append(ch.homogeneous_part(2))
         rhs.append(NSClass(amb, {(2, 0): Fraction(r * d + r * g - f - r, 2), (1, 1): -r}))
-    passed = all(a == b for a, b in zip(lhs, rhs))
-    params = {"g": g, "d": d, "r": r, "f": f}
-    return _result("mult-chern", params, tuple(lhs), tuple(rhs), passed, start)
+    return tuple(lhs), tuple(rhs), all(a == b for a, b in zip(lhs, rhs))
 
 
 # -- suite --------------------------------------------------------------------
+
+def _run(check_id: str, fn, params: dict) -> CheckResult:
+    start = time.perf_counter_ns()
+    lhs, rhs, passed = fn(**params)
+    micros = max(0, (time.perf_counter_ns() - start) // 1000)
+    return CheckResult(check_id, params, _render(lhs), _render(rhs), bool(passed), micros)
+
 
 def run_all(g_min: int, g_max: int) -> Report:
     """Run the whole suite over a genus sweep and aggregate a report.
@@ -234,18 +221,23 @@ def run_all(g_min: int, g_max: int) -> Report:
     Per genus: the pencil pairings, the kernel decomposition, the push-pull
     closed form at every valid m, and one mult/Chern configuration (the
     canonical-twist numbers d = g-2, r = g-2, f = (g-2)(2g-2)-(2g-3)); the
-    plane-quintic check runs once.  Deterministic given the range.
+    plane-quintic check runs once.  Deterministic given the range, apart from
+    the per-check times, which exclude rendering.
     """
     if not 5 <= g_min <= g_max:
         raise ValueError(f"invalid genus range: need 5 <= gMin <= gMax, got [{g_min}, {g_max}]")
-    results: list[CheckResult] = []
-    for g in range(g_min, g_max + 1):
-        results.append(check_pencil_pairings(g))
-        results.append(check_kernel_decomposition(g))
-        for m in range(1, (g - 2) // 2 + 1):
-            results.append(check_pushpull_closed_form(g, m))
-        results.append(check_mult_and_chern(g, g - 2, g - 2, (g - 2) * (2 * g - 2) - (2 * g - 3)))
-    results.append(check_plane_quintic())
+
+    def plan():  # reads the check functions from the module globals as it runs
+        for g in range(g_min, g_max + 1):
+            yield "pencil-pairings", check_pencil_pairings, {"g": g}
+            yield "kernel-decomposition", check_kernel_decomposition, {"g": g}
+            for m in range(1, (g - 2) // 2 + 1):
+                yield "pushpull-closed-form", check_pushpull_closed_form, {"g": g, "m": m}
+            f = (g - 2) * (2 * g - 2) - (2 * g - 3)
+            yield "mult-chern", check_mult_and_chern, {"g": g, "d": g - 2, "r": g - 2, "f": f}
+        yield "plane-quintic", check_plane_quintic, {}
+
+    results = [_run(*row) for row in plan()]
     results.sort(key=lambda c: (c.check_id, tuple(sorted(c.params.items()))))
     return Report(__version__, g_min, g_max, results)
 

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import _EXPORTS
-from .catalog import diagonal_class
+from .catalog import diagonal_class, dm_class
 from .nsring import Ambient, NSClass, Record, _coerce_coeff, _signed_sum, format_rational
 
 __all__ = list(_EXPORTS["conelab"])
@@ -84,30 +84,29 @@ def _divisor_coeffs(c: NSClass) -> tuple[Fraction, Fraction]:
 
 
 def contains(cone: Cone2D, query: NSClass | ConeRay) -> bool:
-    """Whether the class lies in the cone, by exact 2x2 Cramer solve."""
+    """Whether the class lies in the cone, by the signs of an exact 2x2 Cramer solve."""
     if isinstance(query, ConeRay):
         a, b = query.theta, query.x
     else:
         a, b = _divisor_coeffs(query)
     r1, r2 = cone.ray1, cone.ray2
-    det = r1.theta * r2.x - r2.theta * r1.x
-    s = (a * r2.x - r2.theta * b) / det
-    t = (r1.theta * b - a * r1.x) / det
-    return s >= 0 and t >= 0
+    s = a * r2.x - r2.theta * b  # the coordinates times the determinant
+    t = r1.theta * b - a * r1.x
+    positive = r1.theta * r2.x > r2.theta * r1.x  # the sign of the determinant
+    return (s >= 0 and t >= 0) if positive else (s <= 0 and t <= 0)
 
 
 def general_effective_cone_gm2(g: int) -> Cone2D:
     """Effective cone of C_{g-2} for a general curve of genus g >= 5.
 
-    Spanned by the diagonal and by theta - (g/(g-2))*x; the latter pairs to
-    exactly zero against the curve of divisors subordinate to a pencil of
-    degree g-1, which is what pins it as a boundary.
+    Spanned by the diagonal and by the ray of D_1 = dm_class(g, 1), which is
+    theta - (g/(g-2))*x; it pairs to exactly zero against the curve of divisors
+    subordinate to a pencil of degree g-1, which is what pins it as a boundary.
     """
     if g < 5:
         raise ValueError(f"general-curve cone description needs g >= 5, got g={g}")
     diagonal = ray_from_class(diagonal_class(Ambient(g, g - 2)))
-    other = ConeRay(Fraction(1), Fraction(-g, g - 2))
-    return Cone2D(diagonal, other)
+    return Cone2D(diagonal, ray_from_class(dm_class(g, 1)))
 
 
 class CurveClass(str, Enum):
@@ -137,7 +136,7 @@ _SPECIAL_RAYS = {
     (CurveClass.TRIGONAL, 2): (2, "non-diagonal boundary ray on C_(g-2), trigonal curve"),
 }
 
-# min(m, 3) for m = (g - d)/2 -> (status, source) of the general curve's ray theta - (g/d)*x.
+# min(m, 3) for m = (g - d)/2 -> (status, source) of the general curve's ray, that of D_m on C_d.
 _GENERAL_RAYS = {
     1: (BoundStatus.PROVED_BOUNDARY,
         "boundary ray: pairs to zero against the pencil-subordinate curve class"),
@@ -158,7 +157,7 @@ def _bounds(curve: CurveClass, g: int, d: int) -> list[BoundEntry]:
                            BoundStatus.PROVED_BOUNDARY, source)]
     if curve is CurveClass.GENERAL and g >= 5 and (g - d) % 2 == 0:
         status, source = _GENERAL_RAYS[min((g - d) // 2, 3)]
-        return [BoundEntry(curve, g, d, ConeRay(Fraction(1), Fraction(-g, d)), status, source)]
+        return [BoundEntry(curve, g, d, ray_from_class(dm_class(g, (g - d) // 2)), status, source)]
     if curve is CurveClass.PLANE_QUINTIC and (g, d) == (6, 4):
         return [BoundEntry(curve, g, d, ConeRay(Fraction(1), Fraction(-2)), BoundStatus.EXCLUSION,
                            "excluded direction: no effective divisor on C_4 is proportional to it")]

@@ -1,21 +1,26 @@
 import hashlib
 import json
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
 
 from cdcalc import (
+    Ambient,
+    NSClass,
     check_kernel_decomposition,
     check_mult_and_chern,
     check_pencil_pairings,
     check_plane_quintic,
     check_pushpull_closed_form,
+    dm_class,
     report_csv,
     report_json,
     run_all,
 )
-from cdcalc.checks import pairing_sum_theta, pairing_sum_x
+from cdcalc.checks import _render, pairing_sum_theta, pairing_sum_x
+from cdcalc.cli import main
 
 
 def test_closed_form_sums():
@@ -33,55 +38,89 @@ def test_masked_report_is_byte_identical():
     assert digest == "a38efc8a9de334551df41f9a817429b1800e1fecd2f0ecd92c72c8115a521862"
 
 
+def _rows(report):
+    """Rendered (lhs, rhs) per (check id, params) row of a report."""
+    return {(c.check_id, tuple(sorted(c.params.items()))): (c.lhs, c.rhs) for c in report.checks}
+
+
 def test_pencil_pairings_check():
-    result = check_pencil_pairings(6)
-    assert result.passed
-    assert result.lhs == result.rhs == "(6, 4, 0)"
-    assert result.params == {"g": 6}
-    assert check_pencil_pairings(5).lhs == "(5, 3, 0)"
-    assert check_pencil_pairings(25).passed
+    assert check_pencil_pairings(6) == ((6, 4, 0), (6, 4, 0), True)
+    assert check_pencil_pairings(5)[0] == (5, 3, 0)
+    assert check_pencil_pairings(25)[2]
     with pytest.raises(ValueError):
         check_pencil_pairings(4)
+    rows = _rows(run_all(5, 6))
+    assert rows["pencil-pairings", (("g", 6),)] == ("(6, 4, 0)", "(6, 4, 0)")
+    assert rows["pencil-pairings", (("g", 5),)][0] == "(5, 3, 0)"
 
 
 def test_pushpull_closed_form_check():
-    result = check_pushpull_closed_form(6, 1)
-    assert result.passed
-    assert result.lhs == result.rhs == "4*theta - 6*x"
-    assert check_pushpull_closed_form(6, 2).lhs == "5*theta - 15*x"
-    assert check_pushpull_closed_form(40, 19).passed  # extreme m = g/2 - 1
-    with pytest.raises(ValueError):
+    lhs, rhs, passed = check_pushpull_closed_form(6, 1)
+    assert passed
+    assert lhs == rhs == dm_class(6, 1)
+    assert check_pushpull_closed_form(6, 2)[0] == dm_class(6, 2)
+    assert check_pushpull_closed_form(40, 19)[2]  # extreme m = g/2 - 1
+    # the range check is dm_class's own, so its message comes first
+    with pytest.raises(ValueError, match="m out of range"):
         check_pushpull_closed_form(6, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="m out of range"):
         check_pushpull_closed_form(6, 0)
+    rows = _rows(run_all(5, 6))
+    assert rows["pushpull-closed-form", (("g", 6), ("m", 1))] == ("4*theta - 6*x",) * 2
+    assert rows["pushpull-closed-form", (("g", 6), ("m", 2))][0] == "5*theta - 15*x"
 
 
 def test_kernel_decomposition_check():
-    result = check_kernel_decomposition(6)
-    assert result.passed
-    assert result.lhs == result.rhs == "4*theta - 5*x"
-    assert check_kernel_decomposition(5).lhs == "3*theta - 4*x"
-    assert check_kernel_decomposition(12).passed
+    lhs, rhs, passed = check_kernel_decomposition(6)
+    assert passed
+    assert lhs == rhs == NSClass(Ambient(6, 4), {(0, 1): 4, (1, 0): -5})
+    assert check_kernel_decomposition(5)[0] == NSClass(Ambient(5, 3), {(0, 1): 3, (1, 0): -4})
+    assert check_kernel_decomposition(12)[2]
     with pytest.raises(ValueError):
         check_kernel_decomposition(4)
+    rows = _rows(run_all(5, 6))
+    assert rows["kernel-decomposition", (("g", 6),)] == ("4*theta - 5*x",) * 2
+    assert rows["kernel-decomposition", (("g", 5),)][0] == "3*theta - 4*x"
 
 
 def test_plane_quintic_check():
-    result = check_plane_quintic()
-    assert result.passed
-    assert result.params == {}
-    assert result.lhs == "(4*theta - 6*x, 6, 3, 0, 0, 1)"
-    assert result.rhs == "(4*theta - 6*x, 6, 3, 0, 0, 1)"
+    lhs, rhs, passed = check_plane_quintic()
+    assert passed
+    assert lhs[0] == rhs[0] == dm_class(6, 1)
+    assert lhs[1:] == rhs[1:] == (6, 3, 0, 0, 1)
+    row = [c for c in run_all(5, 6).checks if c.check_id == "plane-quintic"]
+    assert len(row) == 1 and row[0].params == {}
+    assert row[0].lhs == row[0].rhs == "(4*theta - 6*x, 6, 3, 0, 0, 1)"
 
 
 def test_mult_and_chern_check():
-    result = check_mult_and_chern(6, 4, 2, 15)
-    assert result.passed
-    assert result.lhs == "(2*theta - 3*x, 8, 2*theta - 3*x, -2*x*theta + 3/2*x^2)"
-    assert result.lhs == result.rhs
-    assert check_mult_and_chern(10, 7, 3, 11).passed
+    lhs, rhs, passed = check_mult_and_chern(6, 4, 2, 15)
+    assert passed
+    assert lhs == rhs
+    assert lhs[0] == NSClass(Ambient(6, 4), {(0, 1): 2, (1, 0): -3})
+    assert lhs[3] == NSClass(Ambient(6, 4), {(1, 1): -2, (2, 0): Fraction(3, 2)})
+    assert _render(lhs) == "(2*theta - 3*x, 8, 2*theta - 3*x, -2*x*theta + 3/2*x^2)"
+    assert check_mult_and_chern(10, 7, 3, 11)[2]
     with pytest.raises(ValueError):
         check_mult_and_chern(6, 4, 1, 15)  # rank below d/(g-d)
+    rows = _rows(run_all(5, 6))
+    assert rows["mult-chern", (("d", 4), ("f", 31), ("g", 6), ("r", 4))] == (
+        "(4*theta - 5*x, 16, 4*theta - 5*x, -4*x*theta + 5/2*x^2)",) * 2
+
+
+def test_run_all_renders_a_failing_check(monkeypatch, capsys):
+    # run_all reads the check functions from the module at call time, and
+    # renders and reports whatever a check returns, failures included
+    monkeypatch.setattr("cdcalc.checks.check_plane_quintic",
+                        lambda: (Fraction(1), Fraction(2), False))
+    report = run_all(5, 5)
+    assert report.failed == 1
+    (row,) = [c for c in report.checks if not c.passed]
+    assert (row.check_id, row.lhs, row.rhs) == ("plane-quintic", "1", "2")
+    assert main(["verify", "--g-min", "5", "--g-max", "5"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL plane-quintic  lhs=1  rhs=2\n" in out
+    assert "summary: 5 checks, 4 passed, 1 failed" in out
 
 
 def test_run_all_counts_and_order():

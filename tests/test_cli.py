@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import subprocess
 import sys
@@ -156,6 +157,46 @@ def test_eval_verb_large_genus_in_bounded_time(expr, value):
     elapsed = time.perf_counter() - start
     assert (done.returncode, done.stdout, done.stderr) == (0, value + "\n", "")
     assert elapsed < 2.0, f"eval took {elapsed:.2f}s"
+
+
+def _int_str_limit() -> int:
+    # 0 means no limit, as on Python 3.10.0-3.10.6, which has no such setting
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+def _decimal(n: int) -> str:
+    limit = _int_str_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_eval_prints_results_of_any_size(capsys):
+    # perm(3000, 1500) has 5016 digits, past the interpreter's default limit
+    limit = _int_str_limit()
+    expected = _decimal(math.perm(3000, 1500))
+    assert len(expected) == 5016
+    code, out, err = run_cli(capsys, "eval", "--g", "3000", "--d", "1500", "--expr", "1*theta^1500")
+    assert (code, out, err) == (0, expected + "\n", "")
+    assert _int_str_limit() == limit
+    code, _, err = run_cli(capsys, "eval", "--g", "3000", "--d", "1500", "--expr", "1*theta^1501")
+    assert code == 1 and "error" in err
+    assert _int_str_limit() == limit
+
+
+def test_parse_takes_coefficients_of_any_size(capsys):
+    limit = _int_str_limit()
+    digits = "9" * 5000
+    code, out, err = run_cli(capsys, "eval", "--g", "3", "--d", "1", "--expr", f"{digits}*x")
+    assert (code, out, err) == (0, digits + "\n", "")
+    assert _int_str_limit() == limit
+    code, _, err = run_cli(capsys, "eval", "--g", "3", "--d", "1", "--expr", f"{digits}*x %")
+    assert code == 1 and "error" in err
+    assert _int_str_limit() == limit
 
 
 def test_pair_verb_with_reference(capsys):

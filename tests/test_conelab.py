@@ -105,6 +105,26 @@ def test_contains_scaling_invariance():
         assert contains(cone, query) == contains(cone, scale * query)
 
 
+def test_contains_matches_nonnegative_combination():
+    # against the coordinates of the query in the rays' basis, for cones of
+    # either orientation (the sign of the determinant)
+    rng = random.Random(433)
+    signs = set()
+    for _ in range(500):
+        p1, p2, (a, b) = ((Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                           Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for _ in range(3))
+        if 0 in (p1[0] * p2[1] - p2[0] * p1[1], a or b):
+            continue  # proportional rays, or the zero query
+        cone = Cone2D(ConeRay(*p1), ConeRay(*p2))
+        r1, r2 = cone.ray1, cone.ray2
+        det = r1.theta * r2.x - r2.theta * r1.x
+        s, t = (a * r2.x - r2.theta * b) / det, (r1.theta * b - a * r1.x) / det
+        assert (s * r1.theta + t * r2.theta, s * r1.x + t * r2.x) == (a, b)
+        assert contains(cone, ConeRay(a, b)) == (s >= 0 and t >= 0)
+        signs.add(det > 0)
+    assert signs == {True, False}
+
+
 def test_general_cone_rays():
     cone = general_effective_cone_gm2(6)
     assert {cone.ray1, cone.ray2} == {
@@ -201,6 +221,17 @@ def test_full_catalog_contents():
     }
     with pytest.raises(ValueError):
         full_catalog(8, 6)
+
+
+def test_general_catalogue_rays_pair_to_zero_on_the_pencil_curve():
+    # the catalogue's d = g-2 ray for a general curve, rebuilt as a class on
+    # C_{g-2}, is orthogonal to the curve of divisors subordinate to a pencil
+    entries = [e for e in full_catalog(5, 40) if e.curve is CurveClass.GENERAL and e.d == e.g - 2]
+    assert [e.g for e in entries] == list(range(5, 41))
+    for e in entries:
+        amb = Ambient(e.g, e.g - 2)
+        ray_class = e.ray.theta * amb.theta() + e.ray.x * amb.x()
+        assert pair(ray_class, subordinate_class(amb, LinearSeries(e.g - 1, 1))) == 0
 
 
 def test_catalog_json_round_trip():
