@@ -111,7 +111,9 @@ def subordinate_class(amb: Ambient, series: LinearSeries) -> NSClass:
         raise ValueError(f"series/degree constraint: need r <= d <= n, got r={r}, d={d}, n={n}")
     terms = {}
     for j in range(d - r + 1):
-        terms[(j, d - r - j)] = Fraction(binom(n - g - r, j), factorial(d - r - j))
+        coeff = binom(n - g - r, j)
+        if coeff:  # zero for every j > n-g-r >= 0: skip the factorial
+            terms[(j, d - r - j)] = Fraction(coeff, factorial(d - r - j))
     return NSClass(amb, terms)
 
 

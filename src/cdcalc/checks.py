@@ -21,8 +21,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-from . import _EXPORTS
-from ._version import __version__
+from . import _EXPORTS, __version__
 from .catalog import (
     KernelBundleData,
     LinearSeries,

@@ -32,16 +32,19 @@ class ClassSyntaxError(ValueError):
         self.position = position
 
 
-# -- class-expression grammar -------------------------------------------------
+# -- integers and class expressions -------------------------------------------
 
-# Class input takes ASCII digits only: str.isdigit() and int() also accept
-# "²", "٣", "1_0" and "+5".
+# Input takes ASCII digits only: str.isdigit() and int() also accept
+# "²", "٣", "1_0", "+5" and " 5".
 _DIGITS = frozenset("0123456789")
 
 
-def _is_int_literal(text: str) -> bool:
+def integer(text: str) -> int:
+    """ASCII digits after an optional '-': every integer from argv, a config file or a <ref>."""
     digits = text.removeprefix("-")
-    return bool(digits) and _DIGITS.issuperset(digits)
+    if not digits or not _DIGITS.issuperset(digits):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _tokenize(expr: str) -> list[tuple[str, object, int]]:
@@ -133,7 +136,7 @@ def parse_class(expr: str, amb: Ambient) -> NSClass:
                 f"degree exceeds ambient: term of degree {degree} on C_{amb.d}", term_pos
             )
         key = (exponents["x"], exponents["theta"])
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(sign * numerator, denominator)
+        terms[key] = terms.get(key, 0) + Fraction(sign * numerator, denominator)
         first = False
     return NSClass(amb, terms)
 
@@ -175,9 +178,10 @@ def resolve_class(text: str, amb: Ambient) -> NSClass:
     name, raw_args = fields[0], fields[1:]
     if name not in NAMED_CLASSES:
         raise UsageError(f"unknown class reference '{name}'; known: {', '.join(sorted(NAMED_CLASSES))}")
-    if not all(map(_is_int_literal, raw_args)):
-        raise UsageError(f"class reference arguments must be integers: {text!r}")
-    args = [int(a) for a in raw_args]
+    try:
+        args = [integer(a) for a in raw_args]
+    except ValueError:
+        raise UsageError(f"class reference arguments must be integers: {text!r}") from None
     cls = _build_named(name, args)
     if cls.ambient != amb:
         raise UsageError(f"class reference lives on {cls.ambient}, command ambient is {amb}")
@@ -319,7 +323,7 @@ def _config_int(raw: dict[str, str], path: str, key: str) -> int | None:
     if key not in raw:
         return None
     try:
-        return int(raw[key])
+        return integer(raw[key])
     except ValueError:
         raise UsageError(f"{path}: key '{key}' must be an integer, got {raw[key]!r}") from None
 
@@ -364,60 +368,44 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _verbs() -> dict:
+    """verb -> (help, handler, flags, formats), built per call so patched handlers are seen."""
+    required, optional = {"required": True}, {"type": integer}
+    number = {**optional, **required}
+    ambient = {"--g": number, "--d": number}
+    signatures = [f"{name}: {row[0]}" for name, row in NAMED_CLASSES.items()]
+    named = {"required": True, "choices": [*NAMED_CLASSES, "rho"],
+             "help": "the flags each name takes: " + "; ".join([*signatures, f"rho: {_RHO_PARAMS}"])}
+    text_json = ("text", "json")
+    return {
+        "class": ("print a catalogued class in canonical form", cmd_class,
+                  {"--name": named, **{f"--{flag}": optional for flag in _CLASS_FLAGS}},
+                  text_json),
+        "eval": ("evaluate a top-degree class expression", cmd_eval,
+                 {**ambient, "--expr": required}, text_json),
+        "pair": ("intersection pairing of two classes", cmd_pair,
+                 {**ambient, "--a": required, "--b": required}, text_json),
+        "pushpull": ("apply the push-pull operator to a class", cmd_pushpull,
+                     {**ambient, "--k": number, "--expr": required}, text_json),
+        "cone": ("cone rays, membership queries, catalogued bounds", cmd_cone,
+                 {"--curve": {"required": True, "choices": [c.value for c in CurveClass]},
+                  **ambient, "--query": {}}, text_json),
+        "verify": ("run the identity suite over a genus sweep", cmd_verify,
+                   {"--g-min": optional, "--g-max": optional,
+                    "--config": {"help": "optional key=value file pre-setting g-min/g-max"}},
+                   ("text", "json", "csv")),
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cdcalc", description=__doc__.splitlines()[0])
     verbs = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
-
-    def add_format(sub, choices=("text", "json")):
-        sub.add_argument("--format", choices=choices, default="text")
-
-    sub = verbs.add_parser("class", help="print a catalogued class in canonical form")
-    signatures = [f"{name}: {row[0]}" for name, row in NAMED_CLASSES.items()]
-    sub.add_argument("--name", required=True, choices=[*NAMED_CLASSES, "rho"],
-                     help="the flags each name takes: " + "; ".join([*signatures, f"rho: {_RHO_PARAMS}"]))
-    for flag in _CLASS_FLAGS:
-        sub.add_argument(f"--{flag}", type=int)
-    add_format(sub)
-    sub.set_defaults(handler=cmd_class)
-
-    sub = verbs.add_parser("eval", help="evaluate a top-degree class expression")
-    sub.add_argument("--g", type=int, required=True)
-    sub.add_argument("--d", type=int, required=True)
-    sub.add_argument("--expr", required=True)
-    add_format(sub)
-    sub.set_defaults(handler=cmd_eval)
-
-    sub = verbs.add_parser("pair", help="intersection pairing of two classes")
-    sub.add_argument("--g", type=int, required=True)
-    sub.add_argument("--d", type=int, required=True)
-    sub.add_argument("--a", required=True)
-    sub.add_argument("--b", required=True)
-    add_format(sub)
-    sub.set_defaults(handler=cmd_pair)
-
-    sub = verbs.add_parser("pushpull", help="apply the push-pull operator to a class")
-    sub.add_argument("--g", type=int, required=True)
-    sub.add_argument("--d", type=int, required=True)
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--expr", required=True)
-    add_format(sub)
-    sub.set_defaults(handler=cmd_pushpull)
-
-    sub = verbs.add_parser("cone", help="cone rays, membership queries, catalogued bounds")
-    sub.add_argument("--curve", required=True, choices=[c.value for c in CurveClass])
-    sub.add_argument("--g", type=int, required=True)
-    sub.add_argument("--d", type=int, required=True)
-    sub.add_argument("--query")
-    add_format(sub)
-    sub.set_defaults(handler=cmd_cone)
-
-    sub = verbs.add_parser("verify", help="run the identity suite over a genus sweep")
-    sub.add_argument("--g-min", type=int)
-    sub.add_argument("--g-max", type=int)
-    sub.add_argument("--config", help="optional key=value file pre-setting g-min/g-max")
-    add_format(sub, choices=("text", "json", "csv"))
-    sub.set_defaults(handler=cmd_verify)
-
+    for verb, (text, handler, flags, formats) in _verbs().items():
+        sub = verbs.add_parser(verb, help=text)
+        for flag, options in flags.items():
+            sub.add_argument(flag, **options)
+        sub.add_argument("--format", choices=formats, default="text")
+        sub.set_defaults(handler=handler)
     return parser
 
 

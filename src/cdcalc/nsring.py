@@ -42,6 +42,8 @@ __all__ = list(_EXPORTS["nsring"])
 
 RationalInput = int | Fraction
 
+_ZERO = Fraction(0)  # the coefficient of every absent monomial
+
 
 def _coerce_coeff(value: RationalInput) -> Fraction:
     if type(value) is Fraction:
@@ -175,7 +177,7 @@ class NSClass(Record):
         return dict(self._terms)
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
+        return self._terms.get((i, j), _ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -205,7 +207,7 @@ class NSClass(Record):
         self._require_same_ambient(other)
         merged = dict(self._terms)
         for key, c in other._terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + c
+            merged[key] = merged.get(key, 0) + c
         return NSClass(self.ambient, merged)
 
     def __sub__(self, other):
@@ -225,7 +227,7 @@ class NSClass(Record):
                     key = (i1 + i2, j1 + j2)
                     if key[0] + key[1] > self.ambient.d:
                         continue
-                    product[key] = product.get(key, Fraction(0)) + c1 * c2
+                    product[key] = product.get(key, 0) + c1 * c2
             return NSClass(self.ambient, product)
         if isinstance(other, (int, Fraction)):
             scale = _coerce_coeff(other)
@@ -348,7 +350,7 @@ def eval_top(c: NSClass) -> Fraction:
     g, d = c.ambient.g, c.ambient.d
     _check_evaluable(c.ambient)
     if c.is_zero():
-        return Fraction(0)
+        return _ZERO
     if c.pure_degree() != d:
         raise ValueError(f"not a top-degree class: need pure degree {d}, got {format_class(c)}")
     nums, den = _x_numerators(c)
@@ -365,7 +367,7 @@ def pair(a: NSClass, b: NSClass) -> Fraction:
     """
     a._require_same_ambient(b)
     if a.is_zero() or b.is_zero():
-        return Fraction(0)
+        return _ZERO
     da, db = a.pure_degree(), b.pure_degree()
     if da is None or db is None or da + db != a.ambient.d:
         raise ValueError(

@@ -90,6 +90,13 @@ def test_subordinate_pure_degree_random():
         assert gamma.is_zero() or gamma.pure_degree() == d - r
 
 
+def test_subordinate_skips_vanishing_binomials():
+    # n - g - r = 0: only the j = 0 term survives, and no other factorial is built
+    amb = Ambient(20000, 10000)
+    gamma = subordinate_class(amb, LinearSeries(20000, 0))
+    assert gamma == amb.monomial(0, 10000, Fraction(1, math.factorial(10000)))
+
+
 def test_subordinate_constraint_errors():
     amb = Ambient(6, 4)
     with pytest.raises(ValueError, match="series/degree constraint"):

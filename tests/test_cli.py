@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -12,8 +14,11 @@ import pytest
 
 from cdcalc import Ambient, NSClass, diagonal_class, format_class
 from cdcalc.checks import CheckResult, Report
-from cdcalc.cli import ClassSyntaxError, main, parse_class, resolve_class
+from cdcalc.cli import ClassSyntaxError, integer, main, parse_class, resolve_class
 from conftest import random_class
+
+CLI_SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "cdcalc" / "cli.py"
+SRC = CLI_SOURCE.parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -148,15 +153,29 @@ def test_eval_verb(capsys):
     assert code == 0 and out == "360\n"
 
 
+def run_timed(*argv):
+    """`cdcalc argv` in a fresh interpreter on this checkout: (result, seconds)."""
+    program = "import sys; from cdcalc.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", program, *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    return done, time.perf_counter() - start
+
+
 @pytest.mark.parametrize("expr, value", [("1*x", "1"), ("1*theta", "3000000")])
 def test_eval_verb_large_genus_in_bounded_time(expr, value):
-    argv = ["eval", "--g", "3000000", "--d", "1", "--expr", expr]
-    program = "import sys; from cdcalc.cli import main; sys.exit(main(sys.argv[1:]))"
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-c", program, *argv], capture_output=True, text=True, timeout=30)
-    elapsed = time.perf_counter() - start
+    done, elapsed = run_timed("eval", "--g", "3000000", "--d", "1", "--expr", expr)
     assert (done.returncode, done.stdout, done.stderr) == (0, value + "\n", "")
     assert elapsed < 2.0, f"eval took {elapsed:.2f}s"
+
+
+def test_class_gamma_large_degree_in_bounded_time():
+    done, elapsed = run_timed("class", "--name", "gamma", "--g", "20000", "--d", "10000",
+                              "--n", "20000", "--r", "0")
+    expected = f"1/{_decimal(math.factorial(10000))}*theta^10000\n"
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+    assert elapsed < 2.0, f"class took {elapsed:.2f}s"
 
 
 def _int_str_limit() -> int:
@@ -327,3 +346,52 @@ def test_operation_errors_exit_1(capsys):
     assert code == 1 and "m out of range" in err
     code, _, err = run_cli(capsys, "cone", "--curve", "general", "--g", "8", "--d", "5")
     assert code == 1 and "no catalogued bound" in err
+
+
+# -- one integer reader, one verb table -----------------------------------------
+
+SPELLINGS = ["\u0666", "6_0", "+6", " 6"]  # Arabic-Indic six, underscore, plus, space
+
+
+def test_integer_reads_ascii_integers():
+    assert [integer(t) for t in ("6", "-12", "007", "0")] == [6, -12, 7, 0]
+    for text in ["", "-", "--1", "6 ", "1.5", "\u00b9", *SPELLINGS]:
+        with pytest.raises(ValueError):
+            integer(text)
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+@pytest.mark.parametrize("argv", [
+    ["eval", "--g", "{}", "--d", "4", "--expr", "1*theta^4"],
+    ["pushpull", "--g", "6", "--d", "4", "--k", "{}", "--expr", "1*x"],
+    ["verify", "--g-min", "{}", "--g-max", "5"],
+    ["class", "--name", "gamma", "--g", "6", "--d", "4", "--n", "{}", "--r", "1"],
+], ids=["g", "k", "g-min", "n"])
+def test_integer_flags_take_only_ascii_integers(capsys, argv, spelling):
+    code, out, err = run_cli(capsys, *[arg.format(spelling) for arg in argv])
+    assert (code, out) == (1, "")
+    assert f"invalid integer value: {spelling!r}" in err
+
+
+# A config value is stripped of the whitespace around it, so " 6" reads as 6 there.
+@pytest.mark.parametrize("spelling", [s for s in SPELLINGS if s.strip() == s])
+def test_config_values_take_only_ascii_integers(capsys, tmp_path, spelling):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"g-min = {spelling}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--config", str(config))
+    assert (code, out) == (1, "")
+    assert f"key 'g-min' must be an integer, got {spelling!r}" in err
+
+
+def test_handlers_are_looked_up_when_the_parser_is_built(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr("cdcalc.cli.cmd_eval", lambda args: seen.append(args.g) or 0)
+    assert run_cli(capsys, "eval", "--g", "6", "--d", "4", "--expr", "1*x")[0] == 0
+    assert seen == [6]
+
+
+def test_each_verb_is_declared_once():
+    source = CLI_SOURCE.read_text(encoding="utf-8")
+    assert source.count("add_parser(") == 1
+    assert source.count('"--format"') == 1
+    assert "type=int" not in source

@@ -100,3 +100,25 @@ def test_object_setattr_only_in_record_init():
                   if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
                   and getattr(node.value, "id", None) == "object" and id(node) not in inside]
     assert stray == []
+
+
+def test_version_is_declared_once():
+    import cdcalc
+    from cdcalc.checks import run_all
+
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        project = re.search(r"^\[project\]$(.*?)^\[", text, re.MULTILINE | re.DOTALL).group(1)
+        assert re.search(r'^dynamic\s*=\s*\[\s*"version"\s*\]\s*$', project, re.MULTILINE)
+        assert not re.search(r"^version\s*=", project, re.MULTILINE)
+        assert re.search(r'^version\s*=\s*\{\s*attr\s*=\s*"cdcalc.__version__"\s*\}\s*$',
+                         text, re.MULTILINE)
+    else:
+        config = tomllib.loads(text)
+        assert config["project"]["dynamic"] == ["version"]
+        assert "version" not in config["project"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "cdcalc.__version__"}
+    assert not (PACKAGE / "_version.py").exists()
+    assert run_all(5, 5).version == cdcalc.__version__
