@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import _EXPORTS
-from .nsring import Ambient, NSClass, Record, canonical_class
+from .nsring import Ambient, NSClass, Record, _numerators, canonical_class
 
 __all__ = list(_EXPORTS["catalog"])
 
@@ -156,6 +156,11 @@ def pushpull(c: NSClass, k: int) -> NSClass:
     extended linearly; only max(0, k-a) <= j <= min(k, b) can contribute,
     since otherwise one of the first two binomials vanishes.  k = 0 is the
     identity.
+
+    The input goes over one common denominator through
+    `nsring._numerators`, the numerator helper `eval_top` and `pair` share,
+    so each contribution is one integer product added into an int per
+    output monomial; one Fraction per output monomial is built at the end.
     """
     if k < 0:
         raise ValueError(f"push-pull index must be nonnegative, got k={k}")
@@ -164,13 +169,14 @@ def pushpull(c: NSClass, k: int) -> NSClass:
         raise ValueError(f"push-pull index must satisfy k < d, got k={k} on C_{amb.d}")
     target = Ambient(amb.g, amb.d - k)
     g = amb.g
-    out: dict[tuple[int, int], Fraction] = {}
-    for (a, b), coeff in c._terms.items():
+    nums, den = _numerators(c)
+    out: dict[tuple[int, int], int] = {}
+    for (a, b), n in nums:
         for j in range(max(0, k - a), min(k, b) + 1):
             weight = comb(a, k - j) * comb(b, j) * binom(g - b + j, j) * factorial(j)
             key = (a - k + j, b - j)
-            out[key] = out.get(key, 0) + coeff * weight
-    return NSClass(target, out)
+            out[key] = out.get(key, 0) + n * weight
+    return NSClass(target, {key: Fraction(n, den) for key, n in out.items()})
 
 
 def dm_class(g: int, m: int) -> NSClass:

@@ -107,7 +107,8 @@ def parse_class(expr: str, amb: Ambient) -> NSClass:
         numerator = value
         i += 1
         denominator = 1
-        if i < len(tokens) and tokens[i][:2] == ("op", "/"):
+        # A token's value alone tells the operators apart: ints and names never equal "/", "*", "^".
+        if i < len(tokens) and tokens[i][1] == "/":
             kind, value, pos = at(i + 1)
             if kind != "int":
                 raise ClassSyntaxError("expected an integer denominator", pos)
@@ -116,14 +117,14 @@ def parse_class(expr: str, amb: Ambient) -> NSClass:
             denominator = value
             i += 2
         exponents = {"x": 0, "theta": 0}
-        while i < len(tokens) and tokens[i][:2] == ("op", "*"):
+        while i < len(tokens) and tokens[i][1] == "*":
             kind, value, pos = at(i + 1)
             if kind != "name":
                 raise ClassSyntaxError("expected 'x' or 'theta' after '*'", pos)
             name = value
             i += 2
             power = 1
-            if i < len(tokens) and tokens[i][:2] == ("op", "^"):
+            if i < len(tokens) and tokens[i][1] == "^":
                 kind, value, pos = at(i + 1)
                 if kind != "int":
                     raise ClassSyntaxError("expected an integer exponent", pos)
@@ -136,7 +137,10 @@ def parse_class(expr: str, amb: Ambient) -> NSClass:
                 f"degree exceeds ambient: term of degree {degree} on C_{amb.d}", term_pos
             )
         key = (exponents["x"], exponents["theta"])
-        terms[key] = terms.get(key, 0) + Fraction(sign * numerator, denominator)
+        coeff = Fraction(sign * numerator, denominator)
+        if key in terms:
+            coeff += terms[key]
+        terms[key] = coeff
         first = False
     return NSClass(amb, terms)
 
@@ -154,14 +158,24 @@ _CLASS_FLAGS = list(dict.fromkeys(
     _flags(" ".join(params for params, _builder in NAMED_CLASSES.values()) + " " + _RHO_PARAMS)))
 
 
-def _build_named(name: str, values: list[int]) -> NSClass:
-    """Call the table's builder for `name` once the argument count fits its signature."""
+def _build_named(name: str, values: list[int], amb: Ambient | None = None) -> NSClass:
+    """Call the table's builder for `name` once the argument count fits its signature.
+
+    Given the ambient the class must live on, arguments named g or d that
+    differ from it are refused before the builder runs: a class on a large
+    ambient can take long to build, only to be refused afterwards.
+    """
     params, builder = NAMED_CLASSES[name]
     most = len(params.split())
     least = most - params.count("[")
     if not least <= len(values) <= most:
         count = str(most) if least == most else f"{least} or {most}"
         raise UsageError(f"class reference '{name}' takes {count} integers: <{name} {params}>")
+    if amb is not None:
+        own = {flag: value for flag, value in zip(_flags(params), values) if flag in ("g", "d")}
+        if any(value != getattr(amb, flag) for flag, value in own.items()):
+            where = ", ".join(f"{flag}={value}" for flag, value in own.items())
+            raise UsageError(f"class reference lives on ({where}), command ambient is {amb}")
     return builder(*values)
 
 
@@ -182,8 +196,8 @@ def resolve_class(text: str, amb: Ambient) -> NSClass:
         args = [integer(a) for a in raw_args]
     except ValueError:
         raise UsageError(f"class reference arguments must be integers: {text!r}") from None
-    cls = _build_named(name, args)
-    if cls.ambient != amb:
+    cls = _build_named(name, args, amb)
+    if cls.ambient != amb:  # an ambient not named by g and d, such as dm's C_{g-2m}
         raise UsageError(f"class reference lives on {cls.ambient}, command ambient is {amb}")
     return cls
 

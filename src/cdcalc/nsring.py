@@ -16,9 +16,15 @@ Top-degree monomials evaluate by the Poincare formula
 extended linearly.  The weight of x^k is a falling product of only d-k
 factors, so one call builds all the weights it needs in one pass, one factor
 at a time, down to the lowest x-exponent present.  `eval_top` and `pair`
-share that path: each side is put over one common denominator, its integer
-numerators are summed against the weights, and a single Fraction is built
-at the end.  `pair` never builds the product class.
+share that path: each side's integer numerators are summed against the
+weights, and a single Fraction is built at the end.  `pair` never builds
+the product class.
+
+`_numerators` is the ring's one way to turn a class's coefficients into
+integers: ((i, j), numerator) pairs over one common denominator.  The three
+kernels `eval_top`, `pair` and `catalog.pushpull` all call it, so their
+inner sums run in integers and each builds one Fraction per result value
+(per output monomial, for `pushpull`).
 
 Equality of classes is formal (coefficient-wise): no relations among the
 monomials x^i theta^j below top degree are imposed, so the ring is valid
@@ -333,11 +339,14 @@ def _check_evaluable(amb: Ambient) -> None:
         raise ValueError(f"evaluation undefined: requires d <= g, got {amb}")
 
 
-def _x_numerators(c: NSClass) -> tuple[list[tuple[int, int]], int]:
-    """The terms as (x-exponent, integer numerator) over one common denominator."""
+def _numerators(c: NSClass) -> tuple[list[tuple[tuple[int, int], int]], int]:
+    """The terms as ((i, j), integer numerator) over one common denominator.
+
+    The denominator is the lcm of the coefficients' denominators (1 for the
+    zero class), so term (i, j) has coefficient numerator / denominator.
+    """
     den = lcm(*(coeff.denominator for coeff in c._terms.values()))
-    nums = [(i, coeff.numerator * (den // coeff.denominator)) for (i, _j), coeff in c._terms.items()]
-    return nums, den
+    return [(key, coeff.numerator * (den // coeff.denominator)) for key, coeff in c._terms.items()], den
 
 
 def eval_top(c: NSClass) -> Fraction:
@@ -353,9 +362,9 @@ def eval_top(c: NSClass) -> Fraction:
         return _ZERO
     if c.pure_degree() != d:
         raise ValueError(f"not a top-degree class: need pure degree {d}, got {format_class(c)}")
-    nums, den = _x_numerators(c)
-    weights = _top_weights(g, d, min(i for i, _n in nums))
-    return Fraction(sum(n * weights[d - i] for i, n in nums), den)
+    nums, den = _numerators(c)
+    weights = _top_weights(g, d, min(i for (i, _j), _n in nums))
+    return Fraction(sum(n * weights[d - i] for (i, _j), n in nums), den)
 
 
 def pair(a: NSClass, b: NSClass) -> Fraction:
@@ -376,13 +385,13 @@ def pair(a: NSClass, b: NSClass) -> Fraction:
         )
     g, d = a.ambient.g, a.ambient.d
     _check_evaluable(a.ambient)
-    nums_a, den_a = _x_numerators(a)
-    nums_b, den_b = _x_numerators(b)
-    weights = _top_weights(g, d, min(i for i, _n in nums_a) + min(i for i, _n in nums_b))
+    nums_a, den_a = _numerators(a)
+    nums_b, den_b = _numerators(b)
+    weights = _top_weights(g, d, min(i for (i, _j), _n in nums_a) + min(i for (i, _j), _n in nums_b))
     total = 0
-    for i1, n1 in nums_a:
+    for (i1, _j1), n1 in nums_a:
         top = d - i1
-        total += n1 * sum(n2 * weights[top - i2] for i2, n2 in nums_b)
+        total += n1 * sum(n2 * weights[top - i2] for (i2, _j2), n2 in nums_b)
     return Fraction(total, den_a * den_b)
 
 

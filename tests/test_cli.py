@@ -40,6 +40,14 @@ def test_parse_simple_sums():
     assert parse_class("1*x + 1*x", amb) == 2 * amb.x()
 
 
+def test_parse_sums_repeated_monomials():
+    amb = Ambient(6, 4)
+    assert parse_class("1/2*theta - 1*x + 1/3*theta", amb) == Fraction(5, 6) * amb.theta() - amb.x()
+    cancelled = parse_class("1*x + 1/2*x - 3/2*x", amb)
+    assert cancelled.is_zero() and cancelled == amb.zero()
+    assert parse_class("1*x + 1*theta - 1*x", amb).terms() == {(0, 1): 1}
+
+
 def test_parse_round_trip_random():
     rng = random.Random(441)
     for _ in range(300):
@@ -65,6 +73,36 @@ def test_parse_errors_carry_positions():
         parse_class("   ", amb)
     with pytest.raises(ClassSyntaxError, match="between terms"):
         parse_class("1*x 2*theta", amb)
+
+
+# Every message the parser gives, each with its byte offset, pinned word for word.
+@pytest.mark.parametrize("expr, message, position", [
+    ("1*theta + % 2*x", "unexpected character '%'", 10),
+    ("theta", "expected a rational coefficient", 0),
+    ("1*x^5", "degree exceeds ambient: term of degree 5 on C_4", 0),
+    ("1/0*x", "zero denominator", 2),
+    ("1*x^", "unexpected end of expression", 4),
+    ("   ", "empty class expression", 0),
+    ("", "empty class expression", 0),
+    ("1*x 2*theta", "expected '+' or '-' between terms", 4),
+    ("1*x\u3000%", "unexpected character '\\u3000'", 3),
+    ("1*x\u00a0%", "unexpected character '\\xa0'", 3),
+    ("1*x\n%", "unexpected character '\\n'", 3),
+    ("²*x", "unexpected character '²'", 0),
+    ("1*x^²", "unexpected character '²'", 4),
+    ("1/²*x", "unexpected character '²'", 2),
+    ("٣*x", "unexpected character '٣'", 0),
+    ("1/", "unexpected end of expression", 2),
+    ("1*", "unexpected end of expression", 2),
+    ("1*2", "expected 'x' or 'theta' after '*'", 2),
+    ("1/x", "expected an integer denominator", 2),
+    ("1*x^theta", "expected an integer exponent", 4),
+])
+def test_parse_error_messages_and_offsets(expr, message, position):
+    with pytest.raises(ClassSyntaxError) as info:
+        parse_class(expr, Ambient(6, 4))
+    assert str(info.value) == f"{message} (byte {position})"
+    assert info.value.position == position
 
 
 @pytest.mark.parametrize("space", ["\u3000", "\u00a0", "\n"])
@@ -107,6 +145,25 @@ def test_resolve_reference_errors():
         resolve_class("<gamma 6 3 5 1>", amb)
     with pytest.raises(UsageError, match="unterminated"):
         resolve_class("<gamma 6 4 5 1", amb)
+
+
+def test_reference_to_another_ambient_is_refused_before_it_is_built(monkeypatch):
+    from cdcalc import catalog
+    from cdcalc.cli import UsageError
+
+    def unbuilt(*args):
+        raise AssertionError("builder ran")
+
+    monkeypatch.setattr(catalog, "subordinate_class", unbuilt)
+    monkeypatch.setattr(catalog, "dm_class", unbuilt)
+    # at d = 20001 every binomial is nonzero: built, this class would have 20000 terms
+    with pytest.raises(UsageError) as info:
+        resolve_class("<gamma 20000 20001 20001 2>", Ambient(20000, 4))
+    assert str(info.value) == "class reference lives on (g=20000, d=20001), command ambient is (g=20000, d=4)"
+    with pytest.raises(UsageError, match=r"lives on \(g=7\), command ambient is \(g=6, d=4\)"):
+        resolve_class("<dm 7 1>", Ambient(6, 4))
+    with pytest.raises(UsageError, match="takes 4 integers"):  # the argument count is checked first
+        resolve_class("<gamma 7 4 5>", Ambient(6, 4))
 
 
 @pytest.mark.parametrize("ref", [

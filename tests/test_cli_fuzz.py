@@ -100,6 +100,53 @@ def test_main_exits_with_documented_codes(argv):
     assert "Traceback" not in err.getvalue()
 
 
+# Large magnitudes for the expression verbs: |g| up to 10^6, d and k up to 60.
+huge_ints = st.one_of(st.integers(2, 10**6), st.integers(-10**6, 10**6), st.sampled_from([10**6, 10**6 - 1]))
+upto_60 = st.one_of(st.integers(1, 60), st.integers(-60, 60))
+
+
+@st.composite
+def large_references(draw, g, d):
+    """A named reference whose genus is large and whose other arguments stay within 60 of 0 or of g."""
+    name = draw(st.sampled_from(sorted(NAMED_CLASSES)))
+    arity = len(NAMED_CLASSES[name][0].split())
+    near = st.one_of(upto_60, st.just(d), upto_60.map(lambda delta: g + delta))
+    args = [g, *draw(st.lists(near, min_size=max(0, arity - 2), max_size=arity))]
+    return "<" + " ".join([name, *map(str, args)]) + ">"
+
+
+@st.composite
+def large_argvs(draw):
+    verb = draw(st.sampled_from(["eval", "pair", "pushpull"]))
+    g, d = draw(huge_ints), draw(upto_60)
+
+    def expression(degree):
+        return draw(st.one_of(grammar_text, sums(degree), large_references(g, d)))
+
+    argv = [verb, "--g", str(g), "--d", str(d)]
+    if verb == "eval":
+        argv += ["--expr", expression(d)]
+    elif verb == "pair":
+        p = draw(st.integers(0, max(d, 0)))
+        argv += ["--a", expression(p), "--b", expression(d - p)]
+    else:
+        argv += ["--k", str(draw(upto_60)), "--expr", expression(draw(st.sampled_from([d, d - 1, 1])))]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+@settings(max_examples=200, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(large_argvs())
+def test_expression_verbs_at_large_magnitudes(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2)
+    # Only the CLI's own one-line messages reach stderr: no traceback, no interpreter text.
+    for line in err.getvalue().splitlines():
+        assert line.startswith(("usage error: ", "error: ")), line
+
+
 @settings(max_examples=300, deadline=None)
 @given(grammar_text, st.integers(2, 14), st.integers(1, 14))
 def test_parse_class_returns_a_class_or_a_syntax_error(text, g, d):

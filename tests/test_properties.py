@@ -1,12 +1,13 @@
-"""Property checks for the integer hot paths: pairing, evaluation, binomials, push-pull."""
+"""Property checks for the integer hot paths: pairing, evaluation, binomials, push-pull, parsing."""
 
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cdcalc import Ambient, NSClass, binom, eval_top, pair, pushpull
+from cdcalc import Ambient, NSClass, binom, eval_top, format_class, pair, pushpull
+from cdcalc.cli import parse_class
 
 fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
 
@@ -97,3 +98,86 @@ def pushpull_cases(draw):
 def test_pushpull_semigroup_law(case):
     c, k1, k2 = case
     assert pushpull(pushpull(c, k1), k2) == comb(k1 + k2, k1) * pushpull(c, k1 + k2)
+
+
+def _pushpull_oracle(c: NSClass, k: int) -> NSClass:
+    """Push-pull term by term: one Fraction product and one Fraction sum per contribution."""
+    g, d = c.ambient.g, c.ambient.d
+    out = {}
+    for (a, b), coeff in c.terms().items():
+        for j in range(max(0, k - a), min(k, b) + 1):
+            weight = comb(a, k - j) * comb(b, j) * _falling_binom(g - b + j, j) * factorial(j)
+            key = (a - k + j, b - j)
+            out[key] = out.get(key, Fraction(0)) + coeff * weight
+    return NSClass(Ambient(g, d - k), out)
+
+
+@st.composite
+def cancelling(draw, amb, k):
+    """A class whose push-pull contributions cancel, for k >= 1.
+
+    Two monomials of degree k both land on the constant term; each is weighted
+    by the other's image, so they cancel.  Terms of degree below k contribute
+    nothing at all.
+    """
+    a1, a2 = draw(st.lists(st.integers(0, k), min_size=2, max_size=2, unique=True))
+    m1, m2 = amb.monomial(a1, k - a1), amb.monomial(a2, k - a2)
+    w1 = _pushpull_oracle(m1, k).coefficient(0, 0)
+    w2 = _pushpull_oracle(m2, k).coefficient(0, 0)
+    low = st.integers(0, k - 1).flatmap(lambda degree: st.integers(0, degree).map(lambda i: (i, degree - i)))
+    scale = draw(fractions.filter(bool))
+    return scale * (w2 * m1 - w1 * m2) + NSClass(amb, draw(st.dictionaries(low, fractions, max_size=4)))
+
+
+@st.composite
+def pushpull_oracle_cases(draw):
+    # d up to g + 4: monomials theta^b with b > g + j give binom a negative upper argument
+    amb = draw(ambients(allow_excess=True))
+    k = draw(st.integers(0, amb.d - 1))
+    inputs = [classes(amb), st.just(amb.zero())] + ([cancelling(amb, k)] if k else [])
+    return draw(st.one_of(inputs)), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(pushpull_oracle_cases())
+@example((NSClass(Ambient(3, 7), {(0, 6): Fraction(1, 7), (1, 5): Fraction(-2, 3), (2, 0): Fraction(5, 30)}), 2))
+@example((Ambient(5, 4).zero(), 0))
+def test_pushpull_matches_the_term_by_term_oracle(case):
+    # An oracle outside the code under test: the semigroup law has pushpull on both sides.
+    c, k = case
+    result = pushpull(c, k)
+    assert result == _pushpull_oracle(c, k)
+    assert 0 not in result.terms().values()
+
+
+@st.composite
+def cancelling_cases(draw):
+    amb = draw(ambients(allow_excess=True).filter(lambda amb: amb.d >= 2))
+    k = draw(st.integers(1, amb.d - 1))
+    return draw(cancelling(amb, k)), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(cancelling_cases())
+@example((NSClass(Ambient(6, 4), {(1, 0): 6, (0, 1): -1}), 1))
+def test_pushpull_of_cancelling_contributions_is_the_zero_class(case):
+    c, k = case
+    result = pushpull(c, k)
+    assert result.is_zero()
+    assert result == Ambient(c.ambient.g, c.ambient.d - k).zero()
+
+
+@st.composite
+def dense_classes(draw):
+    amb = Ambient(draw(st.integers(2, 40)), draw(st.integers(1, 12)))
+    coeff = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 12))
+    return NSClass(amb, {(i, j): draw(coeff) for i in range(amb.d + 1) for j in range(amb.d + 1 - i)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_classes())
+def test_parse_inverts_format_class(c):
+    text = format_class(c)
+    parsed = parse_class(text, c.ambient)
+    assert parsed == c
+    assert format_class(parsed) == text
