@@ -188,11 +188,18 @@ def dm_class(g: int, m: int) -> NSClass:
 
     a divisor class; requires 1 <= m <= g/2 - 1.
     """
+    return _dm(g, m, scaled=True)
+
+
+def _dm(g: int, m: int, scaled: bool) -> NSClass:
+    """(g-2m)/g * theta - x on C_{g-2m}, times binom(g, m) when scaled: D_m, or its ray.
+
+    The range is checked first, so an m out of range builds no binomial.
+    """
     if m < 1 or 2 * m > g - 2:
         raise ValueError(f"m out of range: need 1 <= m <= g/2 - 1, got g={g}, m={m}")
-    amb = Ambient(g, g - 2 * m)
-    scale = binom(g, m)
-    return NSClass(amb, {(0, 1): Fraction(scale * (g - 2 * m), g), (1, 0): -scale})
+    scale = binom(g, m) if scaled else 1
+    return NSClass(Ambient(g, g - 2 * m), {(0, 1): Fraction(scale * (g - 2 * m), g), (1, 0): -scale})
 
 
 def system_c1(amb: Ambient, system: SystemData) -> NSClass:
@@ -308,18 +315,19 @@ def mult_degeneracy_class(g: int, d: int, r: int) -> NSClass:
     return cls
 
 
-# name -> (params, builder) for every class the CLI builds by name, through
-# `class --name` and `<name int...>` references alike.  `params` names the
-# integer arguments in order, each also a `class` flag; a trailing `[p]` is
-# optional, its default set by the builder.  The builders look the
-# constructors up in this module's globals at call time, so a wrapped or
-# patched constructor is what they call.
+# name -> (params, builder[, ambient]) for every class the CLI builds by name,
+# through `class --name` and `<name int...>` references alike.  `params`
+# names the integer arguments in order, each also a `class` flag; a trailing
+# `[p]` is optional, its default set by the builder.  A class lives on its
+# arguments named g and d, or on the (g, d) `ambient` maps its arguments to.
+# The builders look the constructors up in this module's globals at call
+# time, so a wrapped or patched constructor is what they call.
 NAMED_CLASSES = {
     "gamma": ("g d n r", lambda g, d, n, r: subordinate_class(Ambient(g, d), LinearSeries(n, r))),
     "diagonal": ("g d", lambda g, d: diagonal_class(Ambient(g, d))),
     "c1d": ("g d", lambda g, d: c1d_class(Ambient(g, d))),
     "canonical": ("g d", lambda g, d: canonical_class(Ambient(g, d))),
-    "dm": ("g m", lambda g, m: dm_class(g, m)),
+    "dm": ("g m", lambda g, m: dm_class(g, m), lambda g, m: (g, g - 2 * m)),
     "system-c1": ("g d rank f dim-v",
                   lambda g, d, rank, f, dim_v: system_c1(Ambient(g, d), SystemData(rank, f, dim_v))),
     "ch": ("g d rank f [max-degree]", lambda g, d, rank, f, max_degree=None: chern_character(

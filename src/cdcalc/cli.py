@@ -152,31 +152,28 @@ def _flags(params: str) -> list[str]:
     return [param.strip("[]") for param in params.split()]
 
 
-# `class --name rho` prints an integer, not a class, so it is not in the table.
-_RHO_PARAMS = "g r d"
-_CLASS_FLAGS = list(dict.fromkeys(
-    _flags(" ".join(params for params, _builder in NAMED_CLASSES.values()) + " " + _RHO_PARAMS)))
+# name -> signature of every `class --name`: the table's rows, and rho, which
+# prints an integer, not a class, so it is not in the table.
+_SIGNATURES = {**{name: row[0] for name, row in NAMED_CLASSES.items()}, "rho": "g r d"}
+_CLASS_FLAGS = list(dict.fromkeys(_flags(" ".join(_SIGNATURES.values()))))
 
 
-def _build_named(name: str, values: list[int], amb: Ambient | None = None) -> NSClass:
-    """Call the table's builder for `name` once the argument count fits its signature.
+def _named(name: str, values: list[int]):
+    """The table's builder for `name` and the (g, d) its class lives on, read from its arguments.
 
-    Given the ambient the class must live on, arguments named g or d that
-    differ from it are refused before the builder runs: a class on a large
-    ambient can take long to build, only to be refused afterwards.
+    So a caller can refuse a class on another ambient before the builder
+    runs: a large class can take long to build, only to be refused afterwards.
     """
-    params, builder = NAMED_CLASSES[name]
+    params, builder, *ambient = NAMED_CLASSES[name]
     most = len(params.split())
     least = most - params.count("[")
     if not least <= len(values) <= most:
         count = str(most) if least == most else f"{least} or {most}"
         raise UsageError(f"class reference '{name}' takes {count} integers: <{name} {params}>")
-    if amb is not None:
-        own = {flag: value for flag, value in zip(_flags(params), values) if flag in ("g", "d")}
-        if any(value != getattr(amb, flag) for flag, value in own.items()):
-            where = ", ".join(f"{flag}={value}" for flag, value in own.items())
-            raise UsageError(f"class reference lives on ({where}), command ambient is {amb}")
-    return builder(*values)
+    if ambient:
+        return builder, ambient[0](*values)
+    named = dict(zip(_flags(params), values))
+    return builder, (named["g"], named["d"])
 
 
 def resolve_class(text: str, amb: Ambient) -> NSClass:
@@ -196,10 +193,10 @@ def resolve_class(text: str, amb: Ambient) -> NSClass:
         args = [integer(a) for a in raw_args]
     except ValueError:
         raise UsageError(f"class reference arguments must be integers: {text!r}") from None
-    cls = _build_named(name, args, amb)
-    if cls.ambient != amb:  # an ambient not named by g and d, such as dm's C_{g-2m}
-        raise UsageError(f"class reference lives on {cls.ambient}, command ambient is {amb}")
-    return cls
+    builder, (g, d) = _named(name, args)
+    if (g, d) != (amb.g, amb.d):
+        raise UsageError(f"class reference lives on (g={g}, d={d}), command ambient is {amb}")
+    return builder(*args)
 
 
 # -- output helpers -----------------------------------------------------------
@@ -229,7 +226,7 @@ def _status_word(passed: bool) -> str:
 
 def cmd_class(args) -> int:
     name = args.name
-    params = _RHO_PARAMS if name == "rho" else NAMED_CLASSES[name][0]
+    params = _SIGNATURES[name]
     taken = _flags(params)
     given = {flag: getattr(args, flag.replace("-", "_")) for flag in _CLASS_FLAGS}
     unused = [f"--{flag}" for flag, value in given.items()
@@ -244,9 +241,10 @@ def cmd_class(args) -> int:
         value = brill_noether_rho(*values)
         _emit(args, [str(value)], {"name": name, "value": value})
         return 0
-    cls = _build_named(name, values)
-    if args.d is not None and args.d != cls.ambient.d:
-        raise UsageError(f"--d {args.d} does not match the class ambient C_{cls.ambient.d}")
+    builder, (_g, d) = _named(name, values)
+    if args.d is not None and args.d != d:
+        raise UsageError(f"--d {args.d} does not match the class ambient C_{d}")
+    cls = builder(*values)
     payload = {
         "name": name,
         "ambient": {"g": cls.ambient.g, "d": cls.ambient.d},
@@ -316,8 +314,9 @@ def cmd_cone(args) -> int:
     return 0
 
 
-def _read_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _read_config(path: str) -> dict[str, int]:
+    """The g-min/g-max values of a key=value file, each line checked as it is read."""
+    values: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
@@ -326,37 +325,24 @@ def _read_config(path: str) -> dict[str, str]:
                     continue
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+                key, _, value = (part.strip() for part in line.partition("="))
+                if key not in ("g-min", "g-max"):
+                    raise UsageError(f"{path}: unknown key '{key}'")
+                try:
+                    values[key] = integer(value)
+                except ValueError:
+                    raise UsageError(f"{path}: key '{key}' must be an integer, got {value!r}") from None
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     return values
 
 
-def _config_int(raw: dict[str, str], path: str, key: str) -> int | None:
-    if key not in raw:
-        return None
-    try:
-        return integer(raw[key])
-    except ValueError:
-        raise UsageError(f"{path}: key '{key}' must be an integer, got {raw[key]!r}") from None
-
-
 def cmd_verify(args) -> int:
     from .checks import report_csv, report_json, run_all
 
-    g_min, g_max = args.g_min, args.g_max
-    if args.config:
-        raw = _read_config(args.config)
-        for key in raw:
-            if key not in ("g-min", "g-max"):
-                raise UsageError(f"{args.config}: unknown key '{key}'")
-        if g_min is None:
-            g_min = _config_int(raw, args.config, "g-min")
-        if g_max is None:
-            g_max = _config_int(raw, args.config, "g-max")
-    g_min = 5 if g_min is None else g_min
-    g_max = 40 if g_max is None else g_max
+    config = _read_config(args.config) if args.config else {}
+    g_min = config.get("g-min", 5) if args.g_min is None else args.g_min
+    g_max = config.get("g-max", 40) if args.g_max is None else args.g_max
     report = run_all(g_min, g_max)
     if args.format == "json":
         print(report_json(report), end="")
@@ -387,9 +373,9 @@ def _verbs() -> dict:
     required, optional = {"required": True}, {"type": integer}
     number = {**optional, **required}
     ambient = {"--g": number, "--d": number}
-    signatures = [f"{name}: {row[0]}" for name, row in NAMED_CLASSES.items()]
-    named = {"required": True, "choices": [*NAMED_CLASSES, "rho"],
-             "help": "the flags each name takes: " + "; ".join([*signatures, f"rho: {_RHO_PARAMS}"])}
+    signatures = "; ".join(f"{name}: {params}" for name, params in _SIGNATURES.items())
+    named = {"required": True, "choices": list(_SIGNATURES),
+             "help": f"the flags each name takes: {signatures}"}
     text_json = ("text", "json")
     return {
         "class": ("print a catalogued class in canonical form", cmd_class,

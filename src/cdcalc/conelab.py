@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import _EXPORTS
-from .catalog import diagonal_class, dm_class
+from .catalog import _dm, diagonal_class
 from .nsring import Ambient, NSClass, Record, _coerce_coeff, _signed_sum, format_rational
 
 __all__ = list(_EXPORTS["conelab"])
@@ -102,11 +102,12 @@ def general_effective_cone_gm2(g: int) -> Cone2D:
     Spanned by the diagonal and by the ray of D_1 = dm_class(g, 1), which is
     theta - (g/(g-2))*x; it pairs to exactly zero against the curve of divisors
     subordinate to a pencil of degree g-1, which is what pins it as a boundary.
+    That ray is read off D_1 built without its binomial, which only scales it.
     """
     if g < 5:
         raise ValueError(f"general-curve cone description needs g >= 5, got g={g}")
     diagonal = ray_from_class(diagonal_class(Ambient(g, g - 2)))
-    return Cone2D(diagonal, ray_from_class(dm_class(g, 1)))
+    return Cone2D(diagonal, ray_from_class(_dm(g, 1, scaled=False)))
 
 
 class CurveClass(str, Enum):
@@ -157,7 +158,8 @@ def _bounds(curve: CurveClass, g: int, d: int) -> list[BoundEntry]:
                            BoundStatus.PROVED_BOUNDARY, source)]
     if curve is CurveClass.GENERAL and g >= 5 and (g - d) % 2 == 0:
         status, source = _GENERAL_RAYS[min((g - d) // 2, 3)]
-        return [BoundEntry(curve, g, d, ray_from_class(dm_class(g, (g - d) // 2)), status, source)]
+        ray = ray_from_class(_dm(g, (g - d) // 2, scaled=False))
+        return [BoundEntry(curve, g, d, ray, status, source)]
     if curve is CurveClass.PLANE_QUINTIC and (g, d) == (6, 4):
         return [BoundEntry(curve, g, d, ConeRay(Fraction(1), Fraction(-2)), BoundStatus.EXCLUSION,
                            "excluded direction: no effective divisor on C_4 is proportional to it")]

@@ -160,10 +160,35 @@ def test_reference_to_another_ambient_is_refused_before_it_is_built(monkeypatch)
     with pytest.raises(UsageError) as info:
         resolve_class("<gamma 20000 20001 20001 2>", Ambient(20000, 4))
     assert str(info.value) == "class reference lives on (g=20000, d=20001), command ambient is (g=20000, d=4)"
-    with pytest.raises(UsageError, match=r"lives on \(g=7\), command ambient is \(g=6, d=4\)"):
+    with pytest.raises(UsageError, match=r"lives on \(g=7, d=5\), command ambient is \(g=6, d=4\)"):
         resolve_class("<dm 7 1>", Ambient(6, 4))
     with pytest.raises(UsageError, match="takes 4 integers"):  # the argument count is checked first
         resolve_class("<gamma 7 4 5>", Ambient(6, 4))
+    # dm's ambient C_{g-2m} comes from its row, so binom(10^6, 250000) is never built
+    with pytest.raises(UsageError) as info:
+        resolve_class("<dm 1000000 250000>", Ambient(10**6, 2))
+    assert str(info.value) == \
+        "class reference lives on (g=1000000, d=500000), command ambient is (g=1000000, d=2)"
+    # an m out of range on another ambient is refused as such, before dm_class checks m
+    with pytest.raises(UsageError) as info:
+        resolve_class("<dm 6 3>", Ambient(6, 4))
+    assert str(info.value) == "class reference lives on (g=6, d=0), command ambient is (g=6, d=4)"
+    with pytest.raises(AssertionError, match="builder ran"):  # on its own ambient it is built
+        resolve_class("<dm 8 2>", Ambient(8, 4))
+
+
+def test_class_on_another_ambient_is_refused_before_it_is_built(capsys, monkeypatch):
+    from cdcalc import catalog
+
+    def unbuilt(*args):
+        raise AssertionError("builder ran")
+
+    monkeypatch.setattr(catalog, "dm_class", unbuilt)
+    code, out, err = run_cli(capsys, "class", "--name", "dm", "--g", "1000000", "--m", "250000",
+                             "--d", "3")
+    assert (code, out, err) == (1, "", "usage error: --d 3 does not match the class ambient C_500000\n")
+    with pytest.raises(AssertionError, match="builder ran"):
+        run_cli(capsys, "class", "--name", "dm", "--g", "8", "--m", "2", "--d", "4")
 
 
 @pytest.mark.parametrize("ref", [
@@ -225,6 +250,20 @@ def test_eval_verb_large_genus_in_bounded_time(expr, value):
     done, elapsed = run_timed("eval", "--g", "3000000", "--d", "1", "--expr", expr)
     assert (done.returncode, done.stdout, done.stderr) == (0, value + "\n", "")
     assert elapsed < 2.0, f"eval took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("argv, stdout, stderr", [
+    (["eval", "--g", "1000000", "--d", "2", "--expr", "<dm 1000000 250000>"], "",
+     "usage error: class reference lives on (g=1000000, d=500000), command ambient is (g=1000000, d=2)\n"),
+    (["class", "--name", "dm", "--g", "1000000", "--m", "250000", "--d", "3"], "",
+     "usage error: --d 3 does not match the class ambient C_500000\n"),
+    (["cone", "--curve", "general", "--g", "1000000", "--d", "2"],
+     "general g=1000000 d=2: 1*theta - 500000*x [virtual-bound]\n", ""),
+], ids=["eval-dm", "class-dm", "cone-general"])
+def test_dm_at_large_genus_in_bounded_time(argv, stdout, stderr):
+    done, elapsed = run_timed(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == (1 if stderr else 0, stdout, stderr)
+    assert elapsed < 2.0, f"{argv[0]} took {elapsed:.2f}s"
 
 
 def test_class_gamma_large_degree_in_bounded_time():
@@ -383,6 +422,21 @@ def test_verify_config_errors(capsys, tmp_path):
     assert code == 1 and "unknown key" in err
     code, _, err = run_cli(capsys, "verify", "--config", str(tmp_path / "missing.cfg"))
     assert code == 1 and "cannot read config" in err
+
+
+def test_config_is_checked_line_by_line(capsys, tmp_path):
+    config = tmp_path / "sweep.cfg"
+    # a bad value is refused even where a flag overrides its key
+    config.write_text("g-min = five\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(config), "--g-min", "5", "--g-max", "5")
+    assert (code, out, err) == (1, "", f"usage error: {config}: key 'g-min' must be an integer, got 'five'\n")
+    # the first bad line is the one reported
+    config.write_text("genus = 5\ng-min five\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(config))
+    assert (code, out, err) == (1, "", f"usage error: {config}: unknown key 'genus'\n")
+    config.write_text("g-max = 5\ng-min five\ngenus = 5\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(config))
+    assert (code, out, err) == (1, "", f"usage error: {config}:2: expected 'key = value'\n")
 
 
 def test_usage_errors_exit_1(capsys):

@@ -136,15 +136,19 @@ def large_argvs(draw):
     return argv
 
 
-@settings(max_examples=200, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
-@given(large_argvs())
-def test_expression_verbs_at_large_magnitudes(argv):
+def assert_documented_exit(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(argv)
     assert code in (0, 1, 2)
     # Only the CLI's own one-line messages reach stderr: no traceback, no interpreter text.
     for line in err.getvalue().splitlines():
         assert line.startswith(("usage error: ", "error: ")), line
+
+
+@settings(max_examples=200, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(large_argvs())
+def test_expression_verbs_at_large_magnitudes(argv):
+    assert_documented_exit(argv)
 
 
 @settings(max_examples=300, deadline=None)
@@ -155,3 +159,33 @@ def test_parse_class_returns_a_class_or_a_syntax_error(text, g, d):
     except ClassSyntaxError:
         return
     assert isinstance(result, NSClass)
+
+
+@st.composite
+def large_class_or_cone_argvs(draw):
+    """`class` or `cone` at a large genus; other arguments within 60, a cone's d within 60 of 0 or of g."""
+    g = draw(huge_ints)
+    if draw(st.booleans()):
+        d = draw(st.one_of(upto_60, upto_60.map(lambda delta: g + delta)))
+        argv = ["cone", "--curve", draw(st.sampled_from([c.value for c in CurveClass])),
+                "--g", str(g), "--d", str(d)]
+        if draw(st.booleans()):
+            argv += ["--query", draw(st.one_of(grammar_text, sums(1), large_references(g, d)))]
+    else:
+        name = draw(st.sampled_from([*NAMED_CLASSES, "rho"]))
+        params = NAMED_CLASSES[name][0] if name in NAMED_CLASSES else "g r d"
+        taken = [param.strip("[]") for param in params.split()]
+        argv = ["class", "--name", name, "--g", str(g)]
+        for flag in CLASS_FLAGS[1:]:
+            # the flags the name takes nine times in ten, the others one time in ten
+            if draw(st.integers(0, 9)) < (9 if flag in taken else 1):
+                argv += [f"--{flag}", str(draw(upto_60))]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+@settings(max_examples=300, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(large_class_or_cone_argvs())
+def test_class_and_cone_at_large_magnitudes(argv):
+    assert_documented_exit(argv)

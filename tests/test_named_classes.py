@@ -84,7 +84,7 @@ def test_name_choices_and_flags_come_from_the_table():
     flags = {opt for a in sub._actions for opt in a.option_strings} - {"-h", "--help", "--name", "--format"}
     table_flags = {f"--{flag}" for name in NAMED_CLASSES for flag in flags_of(name)}
     assert flags == table_flags | {"--g", "--r", "--d"}
-    for name, (params, _builder) in NAMED_CLASSES.items():
+    for name, (params, _builder, *_ambient) in NAMED_CLASSES.items():
         assert f"{name}: {params}" in name_action.help
 
 

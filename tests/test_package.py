@@ -102,6 +102,17 @@ def test_object_setattr_only_in_record_init():
     assert stray == []
 
 
+def test_cli_names_no_row_of_the_class_table():
+    """What sets one named class apart, such as dm's ambient, is in its row, not in a `cli` branch."""
+    from cdcalc import NAMED_CLASSES
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    named = [f"cli.py:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value in NAMED_CLASSES]
+    assert named == []
+
+
 def test_version_is_declared_once():
     import cdcalc
     from cdcalc.checks import run_all
