@@ -109,11 +109,16 @@ def subordinate_class(amb: Ambient, series: LinearSeries) -> NSClass:
     n, r = series.n, series.r
     if not (r <= d <= n):
         raise ValueError(f"series/degree constraint: need r <= d <= n, got r={r}, d={d}, n={n}")
+    a, top = n - g - r, d - r
+    last = top if a < 0 else min(a, top)  # binom(a, j) is zero for every j > a >= 0
+    factorials = [factorial(top - last)]  # (top-last)!, ..., top!, one product at a time
+    for k in range(top - last + 1, top + 1):
+        factorials.append(factorials[-1] * k)
     terms = {}
-    for j in range(d - r + 1):
-        coeff = binom(n - g - r, j)
-        if coeff:  # zero for every j > n-g-r >= 0: skip the factorial
-            terms[(j, d - r - j)] = Fraction(coeff, factorial(d - r - j))
+    coeff = 1  # binom(a, j), by binom(a, j+1) = binom(a, j) (a-j) / (j+1)
+    for j in range(last + 1):
+        terms[(j, top - j)] = Fraction(coeff, factorials[last - j])
+        coeff = coeff * (a - j) // (j + 1)
     return NSClass(amb, terms)
 
 

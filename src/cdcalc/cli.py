@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -47,102 +48,122 @@ def integer(text: str) -> int:
     return int(text)
 
 
-def _tokenize(expr: str) -> list[tuple[str, object, int]]:
-    tokens: list[tuple[str, object, int]] = []
-    pos = 0
-    while pos < len(expr):
-        ch = expr[pos]
-        if ch in " \t":  # ASCII only, so every error position is also a byte offset
-            pos += 1
-        elif ch in _DIGITS:
-            end = pos
-            while end < len(expr) and expr[end] in _DIGITS:
-                end += 1
-            tokens.append(("int", int(expr[pos:end]), pos))
-            pos = end
-        elif expr.startswith("theta", pos):
-            tokens.append(("name", "theta", pos))
-            pos += 5
-        elif ch == "x":
-            tokens.append(("name", "x", pos))
-            pos += 1
-        elif ch in "+-*/^":
-            tokens.append(("op", ch, pos))
-            pos += 1
-        else:
-            raise ClassSyntaxError(f"unexpected character {ch!r}", pos)
-    return tokens
+# One signed term: sign, numerator, optional denominator, then an x factor and
+# a theta factor, each optional and each with an optional exponent.  Spaces and
+# tabs may follow every token.  Factors in another order or number are read
+# one at a time by _FACTOR after the term's match.  No two blank runs may
+# meet: on a failed match the engine would try every split of the blanks
+# between them, quadratic in their length.
+_TERM = re.compile(
+    r"[ \t]*(?:([+-])[ \t]*)?([0-9]+)[ \t]*"
+    r"(?:/[ \t]*([0-9]+)[ \t]*)?"
+    r"(?:\*[ \t]*(x)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*)?)?"
+    r"(?:\*[ \t]*(theta)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*)?)?"
+)
+_FACTOR = re.compile(r"\*[ \t]*(x|theta)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*)?")
+_BLANKS = re.compile(r"[ \t]*")
+# Its match ends at the first character outside the alphabet: ASCII only, so
+# every error position is also a byte offset.
+_ALPHABET = re.compile(r"(?:theta|[0-9 \t+*/^x-])*")
+_DIGIT_RUNS = re.compile(r"[0-9]+")
+# What the grammar wants after each operator.
+_OPERANDS = {"+": "a rational coefficient", "-": "a rational coefficient",
+             "/": "an integer denominator", "*": "'x' or 'theta' after '*'", "^": "an integer exponent"}
+
+
+def _syntax_error(expr: str, message: str, position: int) -> ClassSyntaxError:
+    """The error `expr` reports, given the first grammar error found in it.
+
+    A left-to-right read of the characters ranks the errors: a character
+    outside the alphabet, or a digit run before it that is past Python's
+    int-string limit (a ValueError from `int`), whichever comes first, is
+    reported ahead of any grammar error.
+    """
+    bad = _ALPHABET.match(expr).end()
+    for digits in _DIGIT_RUNS.findall(expr, 0, bad):
+        int(digits)
+    if bad < len(expr):
+        return ClassSyntaxError(f"unexpected character {expr[bad]!r}", bad)
+    return ClassSyntaxError(message, position)
+
+
+def _missing_operand(expr: str, op: int) -> ClassSyntaxError:
+    """The error for the operator at offset `op`, which the grammar wants an operand after."""
+    at = _BLANKS.match(expr, op + 1).end()
+    if at == len(expr):
+        return _syntax_error(expr, "unexpected end of expression", at)
+    return _syntax_error(expr, f"expected {_OPERANDS[expr[op]]}", at)
 
 
 def parse_class(expr: str, amb: Ambient) -> NSClass:
-    """Parse the canonical textual form into a class on the given ambient.
+    """Parse a class expression into a class on the given ambient.
 
-    Terms whose degree exceeds d are rejected with an error rather than
-    silently truncated: explicit user input should not vanish.
+    The grammar is wider than the canonical form `format_class` prints::
+
+        expr   := [sign] term (sign term)*
+        term   := integer ["/" integer] ("*" factor)*
+        factor := ("x" | "theta") ["^" integer]
+
+    where `sign` is '+' or '-' and `integer` is a run of ASCII digits.
+    Spaces and tabs may stand between any two tokens, and only there.
+    Factors may come in any order and repeat (`1*x*theta*x` is
+    `1*x^2*theta`); terms on the same monomial are summed.  The denominator
+    must not be zero.
+
+    Errors carry a byte offset.  A character outside the alphabet, anywhere
+    in the string, is reported before any other error; otherwise the first
+    error in reading order is.  Terms whose degree exceeds d are rejected
+    rather than silently truncated: explicit user input should not vanish.
     """
-    tokens = _tokenize(expr)
-    if not tokens:
-        raise ClassSyntaxError("empty class expression", 0)
-
-    def at(index: int) -> tuple[str, object, int]:
-        if index >= len(tokens):
-            raise ClassSyntaxError("unexpected end of expression", len(expr))
-        return tokens[index]
-
     terms: dict[tuple[int, int], Fraction] = {}
-    i = 0
-    first = True
-    while i < len(tokens):
-        sign = 1
-        kind, value, pos = tokens[i]
-        if kind == "op" and value in "+-":
-            sign = -1 if value == "-" else 1
-            i += 1
-        elif not first:
-            raise ClassSyntaxError("expected '+' or '-' between terms", pos)
-        kind, value, pos = at(i)
-        if kind != "int":
-            raise ClassSyntaxError("expected a rational coefficient", pos)
-        term_pos = pos
-        numerator = value
-        i += 1
+    end = 0
+    while True:
+        m = _TERM.match(expr, end)
+        if m is None:  # no coefficient where a term starts
+            at = _BLANKS.match(expr, end).end()
+            if at == len(expr):
+                raise _syntax_error(expr, "empty class expression", 0)
+            if expr[at] in "+-":
+                raise _missing_operand(expr, at)
+            raise _syntax_error(expr, "expected a rational coefficient", at)
+        sign, numerator, den, x, x_power, theta, theta_power = m.groups()
+        numerator = -int(numerator) if sign == "-" else int(numerator)
         denominator = 1
-        # A token's value alone tells the operators apart: ints and names never equal "/", "*", "^".
-        if i < len(tokens) and tokens[i][1] == "/":
-            kind, value, pos = at(i + 1)
-            if kind != "int":
-                raise ClassSyntaxError("expected an integer denominator", pos)
-            if value == 0:
-                raise ClassSyntaxError("zero denominator", pos)
-            denominator = value
-            i += 2
-        exponents = {"x": 0, "theta": 0}
-        while i < len(tokens) and tokens[i][1] == "*":
-            kind, value, pos = at(i + 1)
-            if kind != "name":
-                raise ClassSyntaxError("expected 'x' or 'theta' after '*'", pos)
-            name = value
-            i += 2
-            power = 1
-            if i < len(tokens) and tokens[i][1] == "^":
-                kind, value, pos = at(i + 1)
-                if kind != "int":
-                    raise ClassSyntaxError("expected an integer exponent", pos)
-                power = value
-                i += 2
-            exponents[name] += power
-        degree = exponents["x"] + exponents["theta"]
-        if degree > amb.d:
-            raise ClassSyntaxError(
-                f"degree exceeds ambient: term of degree {degree} on C_{amb.d}", term_pos
-            )
-        key = (exponents["x"], exponents["theta"])
-        coeff = Fraction(sign * numerator, denominator)
+        if den is not None:
+            denominator = int(den)
+            if not denominator:
+                raise _syntax_error(expr, "zero denominator", m.start(3))
+        i = (int(x_power) if x_power else 1) if x else 0
+        j = (int(theta_power) if theta_power else 1) if theta else 0
+        end = m.end()
+        while expr.startswith("*", end):
+            factor = _FACTOR.match(expr, end)
+            if factor is None:
+                raise _missing_operand(expr, end)
+            name, power = factor.groups()
+            power = int(power) if power else 1
+            if name == "x":
+                i += power
+            else:
+                j += power
+            end = factor.end()
+        stop = expr[end:end + 1]
+        # An operator left without its operand: '/' after the numerator, '^' after a name.
+        if (stop == "/" and den is None and x is None and theta is None
+                or stop == "^" and expr[:end].rstrip(" \t").endswith(("x", "theta"))):
+            raise _missing_operand(expr, end)
+        if i + j > amb.d:
+            raise _syntax_error(
+                expr, f"degree exceeds ambient: term of degree {i + j} on C_{amb.d}", m.start(2))
+        coeff = Fraction(numerator, denominator)
+        key = (i, j)
         if key in terms:
             coeff += terms[key]
         terms[key] = coeff
-        first = False
-    return NSClass(amb, terms)
+        if not stop:
+            return NSClass(amb, terms)
+        if stop not in "+-":
+            raise _syntax_error(expr, "expected '+' or '-' between terms", end)
 
 
 # -- named class references ---------------------------------------------------

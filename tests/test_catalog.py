@@ -97,6 +97,37 @@ def test_subordinate_skips_vanishing_binomials():
     assert gamma == amb.monomial(0, 10000, Fraction(1, math.factorial(10000)))
 
 
+def subordinate_by_formula(amb, n, r):
+    """The docstring's sum, one binomial and one factorial per term."""
+    top = amb.d - r
+    return NSClass(amb, {(j, top - j): Fraction(binom(n - amb.g - r, j), math.factorial(top - j))
+                         for j in range(top + 1)})
+
+
+# n - g - r negative (no binomial vanishes), zero, positive below d - r (the
+# zero tail is cut) and at or above d - r.
+@pytest.mark.parametrize("g, d, n, r", [
+    (9, 5, 5, 1), (12, 8, 8, 0), (30, 12, 14, 2),
+    (6, 4, 7, 1), (10, 6, 10, 0),
+    (6, 6, 9, 0), (8, 7, 12, 1), (5, 9, 10, 2),
+    (6, 4, 12, 1), (3, 5, 20, 0),
+])
+def test_subordinate_matches_per_term_formula(g, d, n, r):
+    amb = Ambient(g, d)
+    assert subordinate_class(amb, LinearSeries(n, r)) == subordinate_by_formula(amb, n, r)
+
+
+def test_subordinate_matches_per_term_formula_random():
+    rng = random.Random(1107)
+    for _ in range(300):
+        g = rng.randint(2, 40)
+        d = rng.randint(1, 40)
+        r = rng.randint(0, d)
+        n = rng.randint(d, d + g + 20)
+        amb = Ambient(g, d)
+        assert subordinate_class(amb, LinearSeries(n, r)) == subordinate_by_formula(amb, n, r)
+
+
 def test_subordinate_constraint_errors():
     amb = Ambient(6, 4)
     with pytest.raises(ValueError, match="series/degree constraint"):

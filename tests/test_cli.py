@@ -114,6 +114,45 @@ def test_only_ascii_space_and_tab_separate(space):
     assert info.value.position == len("1*x".encode())
 
 
+@pytest.mark.parametrize("expr, message", [
+    (" " * 100_000 + "x", "expected a rational coefficient (byte 100000)"),
+    ("\t" * 100_000, "empty class expression (byte 0)"),
+    ("1" + " " * 100_000 + "*" + " " * 100_000 + "2", "expected 'x' or 'theta' after '*' (byte 200002)"),
+    ("- " + " " * 100_000 + "-", "expected a rational coefficient (byte 100002)"),
+    ("1*x" + " " * 100_000 + "^ " + "%", "unexpected character '%' (byte 100005)"),
+])
+def test_parse_time_is_linear_in_blank_runs(expr, message):
+    # A blank run the scanner could split two ways costs time quadratic in
+    # its length: minutes here, where a linear read takes milliseconds.
+    start = time.perf_counter()
+    with pytest.raises(ClassSyntaxError) as info:
+        parse_class(expr, Ambient(6, 4))
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == message
+
+
+def test_parse_refuses_every_other_digit_and_space():
+    # Every digit and space str.isdigit() or str.isspace() accepts, other than
+    # ASCII digits, ' ' and '\t': a \d, \s or $ in the parser would let one through.
+    others = [chr(code) for code in range(sys.maxunicode + 1)
+              if (chr(code).isdigit() or chr(code).isspace()) and chr(code) not in "0123456789 \t"]
+    assert "\n" in others and "\u0663" in others
+    # A class on this ambient with or without a digit put in: had the parser
+    # read one, the parse would succeed and no error would be raised.
+    amb = Ambient(100, 100)
+    tokens = ["-", "12", "/", "3", "*", "x", "^", "2", "*", "theta", "^", "2", " + ", "5", "*", "theta"]
+    heads = ["".join(tokens[:at]) for at in range(len(tokens) + 1)]
+    for c in others:
+        cases = [("1*x" + c, 3), ("1*x^" + c, 4), ("1/" + c, 2)]
+        cases += [(head + c + "".join(tokens)[len(head):], len(head)) for head in heads]
+        for expr, at in cases:
+            with pytest.raises(ClassSyntaxError) as info:
+                parse_class(expr, amb)
+            assert str(info.value) == f"unexpected character {c!r} (byte {at})"
+    with pytest.raises(ClassSyntaxError, match=r"^unexpected character '\\n' \(byte 3\)$"):
+        parse_class("1*x\n", amb)
+
+
 @pytest.mark.parametrize("expr, position", [
     ("²*x", 0), ("1*x^²", 4), ("1/²*x", 2), ("٣*x", 0),
 ])

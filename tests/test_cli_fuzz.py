@@ -1,12 +1,20 @@
-"""Fuzzing the command line: any argv ends in exit code 0, 1 or 2, never a traceback."""
+"""Fuzzing the command line and its parser.
+
+Any argv ends in exit code 0, 1 or 2, never a traceback, and `parse_class`
+answers every string as the reference parser in `parser_oracle` does.
+"""
 
 import contextlib
 import io
+import re
+from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cdcalc import NAMED_CLASSES, Ambient, CurveClass, NSClass
+from cdcalc import NAMED_CLASSES, Ambient, CurveClass, NSClass, format_class
 from cdcalc.cli import ClassSyntaxError, main, parse_class
+from parser_oracle import parse_class as reference_parse_class
 
 # |g| <= 14 keeps verify sweeps and named-class builders quick; mostly positive, so some calls succeed.
 small_ints = st.one_of(st.integers(1, 14), st.integers(-14, 14)).map(str)
@@ -159,6 +167,86 @@ def test_parse_class_returns_a_class_or_a_syntax_error(text, g, d):
     except ClassSyntaxError:
         return
     assert isinstance(result, NSClass)
+
+
+def outcome(parse, text, amb):
+    """What a parser makes of `text`: a class, or the error's message and byte offset."""
+    try:
+        return parse(text, amb)
+    except ClassSyntaxError as exc:
+        return str(exc), exc.position
+
+
+blanks = st.sampled_from(["", " ", "\t", "  ", " \t "])
+
+
+@st.composite
+def canonical_with_blanks(draw):
+    """format_class output with spaces and tabs drawn at every token boundary."""
+    amb = Ambient(draw(st.integers(2, 14)), draw(st.integers(1, 8)))
+    coeff = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+    keys = st.tuples(st.integers(0, 8), st.integers(0, 8))
+    text = format_class(NSClass(amb, draw(st.dictionaries(keys, coeff, max_size=12))))
+    tokens = re.findall(r"theta|x|[0-9]+|[^ ]", text)
+    return "".join(draw(blanks) + token for token in tokens) + draw(blanks)
+
+
+@st.composite
+def loose_sums(draw, zero_denominators=True):
+    """Sums the canonical form never prints: repeated monomials, x^0, 2/4, factors in any order and number."""
+    terms = []
+    for n in range(draw(st.integers(1, 5))):
+        term = draw(st.sampled_from(["", "+", "-"] if n == 0 else ["+", "-"])) + str(draw(st.integers(0, 20)))
+        if draw(st.booleans()):
+            term += "/" + str(draw(st.integers(0 if zero_denominators else 1, 6)))
+        for _ in range(draw(st.integers(0, 4))):
+            term += "*" + draw(st.sampled_from(["x", "theta"]))
+            if draw(st.booleans()):
+                term += "^" + str(draw(st.integers(0, 3)))
+        terms.append(term)
+    return draw(blanks).join(terms)
+
+
+@st.composite
+def prefixes(draw):
+    text = draw(st.one_of(canonical_with_blanks(), loose_sums(zero_denominators=False)))
+    return text[:draw(st.integers(0, len(text)))]
+
+
+@st.composite
+def spliced(draw):
+    """A valid string with one character from anywhere in Unicode put in at a random offset."""
+    text = draw(st.one_of(canonical_with_blanks(), loose_sums(zero_denominators=False)))
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.characters()) + text[at:]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(grammar_text, canonical_with_blanks(), loose_sums(), prefixes(), spliced()),
+       st.integers(2, 14), st.integers(1, 8))
+def test_parse_class_agrees_with_the_reference_parser(text, g, d):
+    amb = Ambient(g, d)
+    assert outcome(parse_class, text, amb) == outcome(reference_parse_class, text, amb)
+
+
+# With Python's int-string limit in force, a digit run past it raises the
+# same ValueError as a read of the whole string would, ahead of grammar errors.
+@pytest.mark.parametrize("text", [
+    "1 2" + "9" * 5000,
+    "9" * 5000 + "/" + "9" * 6000,
+    "1*x^5 " + "8" * 4500 + "^",
+    "1/0 " + "9" * 4400,
+    "1 %" + "9" * 5000,
+])
+def test_parse_class_meets_long_digit_runs_in_reading_order(text):
+    amb = Ambient(6, 4)
+    results = []
+    for parse in (parse_class, reference_parse_class):
+        try:
+            results.append(outcome(parse, text, amb))
+        except ValueError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
 
 
 @st.composite
