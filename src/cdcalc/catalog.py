@@ -52,6 +52,7 @@ class LinearSeries(Record):
     __slots__ = ("n", "r")
 
     def __init__(self, n: int, r: int):
+        self._require_ints(n, r)
         if n < 0:
             raise ValueError(f"series degree must be nonnegative, got n={n}")
         if r < 0:
@@ -65,6 +66,7 @@ class SystemData(Record):
     __slots__ = ("rank", "degree", "dim_v")
 
     def __init__(self, rank: int, degree: int, dim_v: int):
+        self._require_ints(rank, degree, dim_v)
         if rank < 1:
             raise ValueError(f"system rank must be positive, got {rank}")
         if dim_v < 0:
@@ -82,6 +84,7 @@ class KernelBundleData(Record):
     __slots__ = ("base_degree", "base_sections")
 
     def __init__(self, base_degree: int, base_sections: int):
+        self._require_ints(base_degree, base_sections)
         if base_sections < 2:
             raise ValueError(
                 f"kernel bundle needs at least 2 sections, got h^0={base_sections}"

@@ -266,40 +266,32 @@ def cmd_class(args) -> int:
     if args.d is not None and args.d != d:
         raise UsageError(f"--d {args.d} does not match the class ambient C_{d}")
     cls = builder(*values)
-    payload = {
-        "name": name,
-        "ambient": {"g": cls.ambient.g, "d": cls.ambient.d},
-        "class": format_class(cls),
-    }
-    _emit(args, [format_class(cls)], payload)
+    text = format_class(cls)
+    payload = {"name": name, "ambient": {"g": cls.ambient.g, "d": cls.ambient.d}, "class": text}
+    _emit(args, [text], payload)
     return 0
 
 
 def cmd_eval(args) -> int:
     amb = Ambient(args.g, args.d)
-    value = eval_top(resolve_class(args.expr, amb))
-    _emit(args, [format_rational(value)],
-          {"g": args.g, "d": args.d, "expr": args.expr, "value": format_rational(value)})
+    value = format_rational(eval_top(resolve_class(args.expr, amb)))
+    _emit(args, [value], {"g": args.g, "d": args.d, "expr": args.expr, "value": value})
     return 0
 
 
 def cmd_pair(args) -> int:
     amb = Ambient(args.g, args.d)
-    value = pair(resolve_class(args.a, amb), resolve_class(args.b, amb))
-    _emit(args, [format_rational(value)],
-          {"g": args.g, "d": args.d, "a": args.a, "b": args.b, "value": format_rational(value)})
+    value = format_rational(pair(resolve_class(args.a, amb), resolve_class(args.b, amb)))
+    _emit(args, [value], {"g": args.g, "d": args.d, "a": args.a, "b": args.b, "value": value})
     return 0
 
 
 def cmd_pushpull(args) -> int:
     amb = Ambient(args.g, args.d)
     image = pushpull(resolve_class(args.expr, amb), args.k)
-    payload = {
-        "g": args.g, "d": args.d, "k": args.k,
-        "targetD": image.ambient.d,
-        "class": format_class(image),
-    }
-    _emit(args, [format_class(image)], payload)
+    text = format_class(image)
+    payload = {"g": args.g, "d": args.d, "k": args.k, "targetD": image.ambient.d, "class": text}
+    _emit(args, [text], payload)
     return 0
 
 

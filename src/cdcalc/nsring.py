@@ -108,6 +108,12 @@ class Record:
     def __reduce__(self):
         return (type(self), self._values(self))
 
+    def _require_ints(self, *values) -> None:
+        """Refuse the first of `values`, this record's leading fields in order, that is not an int."""
+        for name, value in zip(self.__slots__, values):
+            if type(value) is not int:
+                raise TypeError(f"{type(self).__name__} field {name} must be an int, got {value!r}")
+
 
 class Ambient(Record):
     """The pair (g, d): genus of the curve and index of the symmetric power."""
@@ -115,6 +121,7 @@ class Ambient(Record):
     __slots__ = ("g", "d")
 
     def __init__(self, g: int, d: int):
+        self._require_ints(g, d)
         if g < 2:
             raise ValueError(f"genus must be at least 2, got g={g}")
         if d < 1:

@@ -104,3 +104,18 @@ def test_default_constructor_is_positional_only():
     with pytest.raises(TypeError):
         BoundEntry(curve=CurveClass.GENERAL, g=6, d=4, ray=RAY,
                    status=BoundStatus.PROVED_BOUNDARY, source="demo")
+
+
+@pytest.mark.parametrize("record, values, field", [
+    (Ambient, (6.0, 4), "g"),
+    (Ambient, (6, 4.0), "d"),
+    (Ambient, (6.5, 4), "g"),
+    (Ambient, (6, True), "d"),
+    (LinearSeries, (5.0, 1), "n"),
+    (LinearSeries, (5, Fraction(1)), "r"),
+    (SystemData, (1, 2.5, 3), "degree"),
+    (KernelBundleData, (5.0, 3), "base_degree"),
+], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
+def test_integer_fields_refuse_every_other_type(record, values, field):
+    with pytest.raises(TypeError, match=rf"^{record.__name__} field {field} must be an int, got "):
+        record(*values)
