@@ -23,11 +23,10 @@ so e.g. binom(-2, j) = (-1)^j (j+1).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
 
 from . import _EXPORTS
-from .nsring import Ambient, NSClass, Record, _numerators, canonical_class
+from .nsring import Ambient, NSClass, Record, _of, _top_weights, canonical_class
 
 __all__ = list(_EXPORTS["catalog"])
 
@@ -114,15 +113,12 @@ def subordinate_class(amb: Ambient, series: LinearSeries) -> NSClass:
         raise ValueError(f"series/degree constraint: need r <= d <= n, got r={r}, d={d}, n={n}")
     a, top = n - g - r, d - r
     last = top if a < 0 else min(a, top)  # binom(a, j) is zero for every j > a >= 0
-    factorials = [factorial(top - last)]  # (top-last)!, ..., top!, one product at a time
-    for k in range(top - last + 1, top + 1):
-        factorials.append(factorials[-1] * k)
     terms = {}
-    coeff = 1  # binom(a, j), by binom(a, j+1) = binom(a, j) (a-j) / (j+1)
+    coeff = 1  # binom(a, j) top!/(top-j)!, by binom(a, j+1) = binom(a, j) (a-j) / (j+1)
     for j in range(last + 1):
-        terms[(j, top - j)] = Fraction(coeff, factorials[last - j])
-        coeff = coeff * (a - j) // (j + 1)
-    return NSClass(amb, terms)
+        terms[(j, top - j)] = coeff
+        coeff = coeff * (a - j) // (j + 1) * (top - j)
+    return _of(amb, terms, factorial(top))
 
 
 def diagonal_class(amb: Ambient) -> NSClass:
@@ -144,13 +140,7 @@ def c1d_class(amb: Ambient) -> NSClass:
     codim = g - d + 1
     if codim > d:
         raise ValueError(f"class degree exceeds dimension: codimension {codim} on C_{d}")
-    return NSClass(
-        amb,
-        {
-            (0, codim): Fraction(1, factorial(codim)),
-            (1, codim - 1): Fraction(-1, factorial(codim - 1)),
-        },
-    )
+    return _of(amb, {(0, codim): 1, (1, codim - 1): -codim}, factorial(codim))
 
 
 def pushpull(c: NSClass, k: int) -> NSClass:
@@ -165,10 +155,9 @@ def pushpull(c: NSClass, k: int) -> NSClass:
     since otherwise one of the first two binomials vanishes.  k = 0 is the
     identity.
 
-    The input goes over one common denominator through
-    `nsring._numerators`, the numerator helper `eval_top` and `pair` share,
-    so each contribution is one integer product added into an int per
-    output monomial; one Fraction per output monomial is built at the end.
+    The class's numerators are pushed over its own denominator, so each
+    contribution is one integer product added into an int per output
+    monomial, and no Fraction is built.
     """
     if k < 0:
         raise ValueError(f"push-pull index must be nonnegative, got k={k}")
@@ -177,14 +166,13 @@ def pushpull(c: NSClass, k: int) -> NSClass:
         raise ValueError(f"push-pull index must satisfy k < d, got k={k} on C_{amb.d}")
     target = Ambient(amb.g, amb.d - k)
     g = amb.g
-    nums, den = _numerators(c)
     out: dict[tuple[int, int], int] = {}
-    for (a, b), n in nums:
+    for (a, b), n in c._terms.items():
         for j in range(max(0, k - a), min(k, b) + 1):
             weight = comb(a, k - j) * comb(b, j) * binom(g - b + j, j) * factorial(j)
             key = (a - k + j, b - j)
             out[key] = out.get(key, 0) + n * weight
-    return NSClass(target, {key: Fraction(n, den) for key, n in out.items()})
+    return _of(target, out, c.den)
 
 
 def dm_class(g: int, m: int) -> NSClass:
@@ -207,7 +195,7 @@ def _dm(g: int, m: int, scaled: bool) -> NSClass:
     if m < 1 or 2 * m > g - 2:
         raise ValueError(f"m out of range: need 1 <= m <= g/2 - 1, got g={g}, m={m}")
     scale = binom(g, m) if scaled else 1
-    return NSClass(Ambient(g, g - 2 * m), {(0, 1): Fraction(scale * (g - 2 * m), g), (1, 0): -scale})
+    return _of(Ambient(g, g - 2 * m), {(0, 1): scale * (g - 2 * m), (1, 0): -scale * g}, g)
 
 
 def system_c1(amb: Ambient, system: SystemData) -> NSClass:
@@ -241,9 +229,9 @@ def chern_character(amb: Ambient, rank: int, degree: int, max_degree: int) -> NS
         )
     r, f, g = rank, degree, amb.g
     excess = r * amb.d + r * g - f - r
-    exp_minus_x = NSClass(
-        amb, {(k, 0): Fraction((-1) ** k, factorial(k)) for k in range(max_degree + 1)}
-    )
+    falling = _top_weights(max_degree, max_degree, 0)  # entry k: max_degree!/(max_degree-k)!
+    exp_minus_x = _of(amb, {(k, 0): (-1) ** k * falling[max_degree - k] for k in range(max_degree + 1)},
+                      falling[-1])
     linear = NSClass(amb, {(0, 0): excess, (0, 1): r})
     constant = NSClass(amb, {(0, 0): f + r * (1 - g)})
     return (constant + linear * exp_minus_x).truncate_degree(max_degree)

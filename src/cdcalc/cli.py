@@ -14,11 +14,11 @@ import argparse
 import os
 import re
 import sys
-from fractions import Fraction
+from math import lcm
 
 from .catalog import NAMED_CLASSES, brill_noether_rho, pushpull
 from .conelab import CurveClass, bounds_to_json, contains, general_effective_cone_gm2, known_bounds
-from .nsring import Ambient, NSClass, eval_top, format_class, format_rational, pair
+from .nsring import Ambient, NSClass, _of, eval_top, format_class, format_rational, pair
 
 
 class UsageError(Exception):
@@ -115,7 +115,7 @@ def parse_class(expr: str, amb: Ambient) -> NSClass:
     error in reading order is.  Terms whose degree exceeds d are rejected
     rather than silently truncated: explicit user input should not vanish.
     """
-    terms: dict[tuple[int, int], Fraction] = {}
+    read: list[tuple[tuple[int, int], int, int]] = []  # (key, numerator, denominator) per term
     end = 0
     while True:
         m = _TERM.match(expr, end)
@@ -155,13 +155,13 @@ def parse_class(expr: str, amb: Ambient) -> NSClass:
         if i + j > amb.d:
             raise _syntax_error(
                 expr, f"degree exceeds ambient: term of degree {i + j} on C_{amb.d}", m.start(2))
-        coeff = Fraction(numerator, denominator)
-        key = (i, j)
-        if key in terms:
-            coeff += terms[key]
-        terms[key] = coeff
+        read.append(((i, j), numerator, denominator))
         if not stop:
-            return NSClass(amb, terms)
+            den = lcm(*(q for _key, _n, q in read))
+            nums: dict[tuple[int, int], int] = {}
+            for key, n, q in read:
+                nums[key] = nums.get(key, 0) + n * (den // q)
+            return _of(amb, nums, den)
         if stop not in "+-":
             raise _syntax_error(expr, "expected '+' or '-' between terms", end)
 

@@ -75,12 +75,12 @@ def ray_from_class(c: NSClass) -> ConeRay:
     return ConeRay(a, b)
 
 
-def _divisor_coeffs(c: NSClass) -> tuple[Fraction, Fraction]:
+def _divisor_coeffs(c: NSClass) -> tuple[int, int]:  # the numerators: the denominator only scales
     if c.is_zero():
-        return (Fraction(0), Fraction(0))
+        return (0, 0)
     if c.pure_degree() != 1:
         raise ValueError(f"cone queries need a divisor class (pure degree 1), got {c}")
-    return (c.coefficient(0, 1), c.coefficient(1, 0))
+    return (c._terms.get((0, 1), 0), c._terms.get((1, 0), 0))
 
 
 def contains(cone: Cone2D, query: NSClass | ConeRay) -> bool:
@@ -90,8 +90,8 @@ def contains(cone: Cone2D, query: NSClass | ConeRay) -> bool:
     else:
         a, b = _divisor_coeffs(query)
     r1, r2 = cone.ray1, cone.ray2
-    s = a * r2.x - r2.theta * b  # the coordinates times the determinant
-    t = r1.theta * b - a * r1.x
+    s = r2.x * a - r2.theta * b  # the coordinates times the determinant; Fraction * int is the fast order
+    t = r1.theta * b - r1.x * a
     positive = r1.theta * r2.x > r2.theta * r1.x  # the sign of the determinant
     return (s >= 0 and t >= 0) if positive else (s <= 0 and t <= 0)
 

@@ -20,11 +20,11 @@ share that path: each side's integer numerators are summed against the
 weights, and a single Fraction is built at the end.  `pair` never builds
 the product class.
 
-`_numerators` is the ring's one way to turn a class's coefficients into
-integers: ((i, j), numerator) pairs over one common denominator.  The three
-kernels `eval_top`, `pair` and `catalog.pushpull` all call it, so their
-inner sums run in integers and each builds one Fraction per result value
-(per output monomial, for `pushpull`).
+A class holds integer numerators over one denominator (see `NSClass`), so
+the ring operations, `eval_top`, `pair` and `catalog.pushpull` run in
+integers.  Fractions are built only at the edges: `terms()`,
+`coefficient()`, pickling and the scalars `eval_top` and `pair` return;
+`format_class` reduces each term as it prints it.
 
 Equality of classes is formal (coefficient-wise): no relations among the
 monomials x^i theta^j below top degree are imposed, so the ring is valid
@@ -39,7 +39,7 @@ which only ever gains entries, through the atomic `dict.setdefault`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 
 from . import _EXPORTS
@@ -47,8 +47,6 @@ from . import _EXPORTS
 __all__ = list(_EXPORTS["nsring"])
 
 RationalInput = int | Fraction
-
-_ZERO = Fraction(0)  # the coefficient of every absent monomial
 
 
 def _coerce_coeff(value: RationalInput) -> Fraction:
@@ -154,11 +152,11 @@ _KEYS: dict[tuple[int, int], tuple[int, int]] = {}
 class NSClass(Record):
     """A formal polynomial in x and theta with exact rational coefficients.
 
-    Terms are stored sparsely as a map (i, j) -> coefficient for the monomial
-    x^i theta^j.  Exponents must be ints (not floats or bools).  Terms of
-    total degree above the ambient d are dropped at construction, and zero
-    coefficients are pruned, so equal classes always have identical term
-    maps.
+    Terms are stored sparsely as a map (i, j) -> integer numerator of the
+    monomial x^i theta^j over one denominator `den` > 0, and no prime divides
+    den and every numerator.  Exponents must be ints (not floats or bools).
+    Terms of degree above d are dropped at construction and zero numerators
+    are pruned, so equal classes always have identical fields.
 
     Every key is stored through the module table `_KEYS`, so all classes
     holding x^i theta^j share one (i, j) tuple.  Only stored keys enter the
@@ -166,31 +164,31 @@ class NSClass(Record):
     of any term ever stored.
     """
 
-    __slots__ = ("ambient", "_terms")
+    __slots__ = ("ambient", "den", "_terms")
 
     def __init__(self, ambient: Ambient, terms=None):
-        clean: dict[tuple[int, int], Fraction] = {}
-        d, shared = ambient.d, _KEYS.setdefault
+        read, shared = [], _KEYS.setdefault  # (key, numerator, denominator) of each nonzero term
         for key, raw in (terms or {}).items():
             i, j = key
             if type(i) is not int or type(j) is not int:
                 raise TypeError(f"exponents must be ints, got x^{i!r}*theta^{j!r}")
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in term x^{i}*theta^{j}")
-            if i + j > d:
+            if i + j > ambient.d:
                 continue  # vanishes for dimension reasons
-            coeff = _coerce_coeff(raw)
-            if coeff:
-                clean[shared(key, key)] = coeff
-        super().__init__(ambient, clean)
+            n, q = (raw if type(raw) in (int, Fraction) else _coerce_coeff(raw)).as_integer_ratio()
+            if n:
+                read.append((shared(key, key), n, q))
+        den = lcm(*[q for _key, _n, q in read])  # n/q in lowest terms, so gcd(den, *numerators) == 1
+        super().__init__(ambient, den, {key: n * (den // q) for key, n, q in read})
 
     # -- inspection ---------------------------------------------------------
 
     def terms(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self._terms)
+        return {key: Fraction(n, self.den) for key, n in self._terms.items()}
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), _ZERO)
+        return Fraction(self._terms.get((i, j), 0), self.den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -203,10 +201,10 @@ class NSClass(Record):
         return None
 
     def homogeneous_part(self, k: int) -> "NSClass":
-        return NSClass(self.ambient, {key: c for key, c in self._terms.items() if key[0] + key[1] == k})
+        return _of(self.ambient, {key: n for key, n in self._terms.items() if sum(key) == k}, self.den)
 
     def truncate_degree(self, k: int) -> "NSClass":
-        return NSClass(self.ambient, {key: c for key, c in self._terms.items() if key[0] + key[1] <= k})
+        return _of(self.ambient, {key: n for key, n in self._terms.items() if sum(key) <= k}, self.den)
 
     # -- ring structure -----------------------------------------------------
 
@@ -218,10 +216,12 @@ class NSClass(Record):
         if not isinstance(other, NSClass):
             return NotImplemented
         self._require_same_ambient(other)
-        merged = dict(self._terms)
-        for key, c in other._terms.items():
-            merged[key] = merged.get(key, 0) + c
-        return NSClass(self.ambient, merged)
+        den = lcm(self.den, other.den)
+        scale_a, scale_b = den // self.den, den // other.den
+        merged = {key: n * scale_a for key, n in self._terms.items()}
+        for key, n in other._terms.items():
+            merged[key] = merged.get(key, 0) + n * scale_b
+        return _of(self.ambient, merged, den)
 
     def __sub__(self, other):
         if not isinstance(other, NSClass):
@@ -229,22 +229,22 @@ class NSClass(Record):
         return self + (-other)
 
     def __neg__(self):
-        return NSClass(self.ambient, {key: -c for key, c in self._terms.items()})
+        return _of(self.ambient, {key: -n for key, n in self._terms.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, NSClass):
             self._require_same_ambient(other)
-            product: dict[tuple[int, int], Fraction] = {}
-            for (i1, j1), c1 in self._terms.items():
-                for (i2, j2), c2 in other._terms.items():
+            product: dict[tuple[int, int], int] = {}
+            for (i1, j1), n1 in self._terms.items():
+                for (i2, j2), n2 in other._terms.items():
                     key = (i1 + i2, j1 + j2)
                     if key[0] + key[1] > self.ambient.d:
                         continue
-                    product[key] = product.get(key, 0) + c1 * c2
-            return NSClass(self.ambient, product)
+                    product[key] = product.get(key, 0) + n1 * n2
+            return _of(self.ambient, product, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            scale = _coerce_coeff(other)
-            return NSClass(self.ambient, {key: c * scale for key, c in self._terms.items()})
+            num, den = _coerce_coeff(other).as_integer_ratio()
+            return _of(self.ambient, {key: n * num for key, n in self._terms.items()}, self.den * den)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -276,13 +276,32 @@ class NSClass(Record):
     # -- comparison / display -----------------------------------------------
 
     def __hash__(self):  # Record hashes the field values, and _terms is a dict
-        return hash((self.ambient, frozenset(self._terms.items())))
+        return hash((self.ambient, self.den, frozenset(self._terms.items())))
+
+    def __reduce__(self):  # through the public constructor, which checks its input
+        return (NSClass, (self.ambient, self.terms()))
 
     def __str__(self) -> str:
         return format_class(self)
 
     def __repr__(self) -> str:
         return f"NSClass{self.ambient}: {format_class(self)}"
+
+
+def _of(ambient: Ambient, nums: dict, den: int) -> NSClass:
+    """The class sum of nums[i, j]/den x^i theta^j, for den > 0 and keys of degree at most d.
+
+    The private constructor: drops zero numerators, shares keys through `_KEYS`, divides out the gcd.
+    """
+    shared = _KEYS.setdefault
+    clean = {shared(key, key): n for key, n in nums.items() if n}
+    common = gcd(den, *clean.values())
+    if common != 1:
+        den //= common
+        clean = {key: n // common for key, n in clean.items()}
+    cls = object.__new__(NSClass)
+    Record.__init__(cls, ambient, den, clean)
+    return cls
 
 
 def format_rational(q: RationalInput) -> str:
@@ -324,9 +343,15 @@ def format_class(c: NSClass) -> str:
     ascending; coefficients are always written explicitly, e.g.
     "1/6*theta^3 - 1*x*theta^2 + 3*x^2*theta - 4*x^3".
     """
-    terms = c._terms
+    terms, den = c._terms, c.den
     keys = sorted(terms, key=lambda key: (-(key[0] + key[1]), key[0]))
-    return _signed_sum((terms[key], _format_monomial(*key)) for key in keys)
+    return _signed_sum((_lowest_terms(terms[key], den), _format_monomial(*key)) for key in keys)
+
+
+def _lowest_terms(n: int, den: int) -> str:
+    """n/den as str(Fraction(n, den)) writes it: "p/q" in lowest terms, or "p" when integral."""
+    common = gcd(n, den)
+    return str(n // den) if common == den else f"{n // common}/{den // common}"
 
 
 def _top_weights(g: int, d: int, low: int) -> list[int]:
@@ -346,16 +371,6 @@ def _check_evaluable(amb: Ambient) -> None:
         raise ValueError(f"evaluation undefined: requires d <= g, got {amb}")
 
 
-def _numerators(c: NSClass) -> tuple[list[tuple[tuple[int, int], int]], int]:
-    """The terms as ((i, j), integer numerator) over one common denominator.
-
-    The denominator is the lcm of the coefficients' denominators (1 for the
-    zero class), so term (i, j) has coefficient numerator / denominator.
-    """
-    den = lcm(*(coeff.denominator for coeff in c._terms.values()))
-    return [(key, coeff.numerator * (den // coeff.denominator)) for key, coeff in c._terms.items()], den
-
-
 def eval_top(c: NSClass) -> Fraction:
     """Evaluate a top-degree class as a rational number.
 
@@ -366,12 +381,11 @@ def eval_top(c: NSClass) -> Fraction:
     g, d = c.ambient.g, c.ambient.d
     _check_evaluable(c.ambient)
     if c.is_zero():
-        return _ZERO
+        return Fraction(0)
     if c.pure_degree() != d:
         raise ValueError(f"not a top-degree class: need pure degree {d}, got {format_class(c)}")
-    nums, den = _numerators(c)
-    weights = _top_weights(g, d, min(i for (i, _j), _n in nums))
-    return Fraction(sum(n * weights[d - i] for (i, _j), n in nums), den)
+    weights = _top_weights(g, d, min(i for i, _j in c._terms))
+    return Fraction(sum(n * weights[d - i] for (i, _j), n in c._terms.items()), c.den)
 
 
 def pair(a: NSClass, b: NSClass) -> Fraction:
@@ -383,7 +397,7 @@ def pair(a: NSClass, b: NSClass) -> Fraction:
     """
     a._require_same_ambient(b)
     if a.is_zero() or b.is_zero():
-        return _ZERO
+        return Fraction(0)
     da, db = a.pure_degree(), b.pure_degree()
     if da is None or db is None or da + db != a.ambient.d:
         raise ValueError(
@@ -392,14 +406,12 @@ def pair(a: NSClass, b: NSClass) -> Fraction:
         )
     g, d = a.ambient.g, a.ambient.d
     _check_evaluable(a.ambient)
-    nums_a, den_a = _numerators(a)
-    nums_b, den_b = _numerators(b)
-    weights = _top_weights(g, d, min(i for (i, _j), _n in nums_a) + min(i for (i, _j), _n in nums_b))
+    weights = _top_weights(g, d, min(i for i, _j in a._terms) + min(i for i, _j in b._terms))
     total = 0
-    for (i1, _j1), n1 in nums_a:
+    for (i1, _j1), n1 in a._terms.items():
         top = d - i1
-        total += n1 * sum(n2 * weights[top - i2] for (i2, _j2), n2 in nums_b)
-    return Fraction(total, den_a * den_b)
+        total += n1 * sum(n2 * weights[top - i2] for (i2, _j2), n2 in b._terms.items())
+    return Fraction(total, a.den * b.den)
 
 
 def canonical_class(amb: Ambient) -> NSClass:

@@ -1,12 +1,17 @@
 """Property checks for the integer hot paths: pairing, evaluation, binomials, push-pull, parsing."""
 
+import pickle
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, gcd
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cdcalc import Ambient, NSClass, binom, eval_top, format_class, pair, pushpull
+from cdcalc import (
+    Ambient, LinearSeries, NSClass, binom, chern_character, eval_top, format_class, pair, pushpull,
+    subordinate_class,
+)
 from cdcalc.cli import parse_class
 
 fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
@@ -181,3 +186,72 @@ def test_parse_inverts_format_class(c):
     parsed = parse_class(text, c.ambient)
     assert parsed == c
     assert format_class(parsed) == text
+
+
+# -- the stored form: integer numerators over one denominator -------------------
+
+def _assert_stored_form(c: NSClass) -> None:
+    """den > 0, no zero numerator, no factor common to den and every numerator; equal to its rebuild."""
+    numerators = list(c._terms.values())
+    assert type(c.den) is int and c.den > 0
+    assert all(type(n) is int and n for n in numerators)
+    assert gcd(c.den, *numerators) == 1
+    twin = NSClass(c.ambient, c.terms())
+    assert c == twin and hash(c) == hash(twin)
+
+
+@st.composite
+def stored_form_cases(draw):
+    amb = draw(ambients(allow_excess=True))
+    scalars = fractions | st.integers(-50, 50)
+    return (draw(classes(amb)), draw(classes(amb)), draw(scalars), draw(scalars.filter(bool)),
+            draw(st.integers(0, amb.d)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stored_form_cases())
+@example((Ambient(6, 4).zero(), Ambient(6, 4).zero(), 0, -3, 0))
+@example((NSClass(Ambient(6, 4), {(0, 1): Fraction(1, 6), (1, 0): Fraction(1, 4)}),
+          NSClass(Ambient(6, 4), {(1, 0): Fraction(-1, 4)}), Fraction(6), Fraction(-1, 6), 1))
+def test_every_operation_keeps_the_stored_form(case):
+    a, b, scalar, divisor, k = case
+    produced = [
+        a, a + b, a - b, a - a, a * b, scalar * a, a * scalar, a / divisor,
+        a.homogeneous_part(k), a.truncate_degree(k), pushpull(a, min(k, a.ambient.d - 1)),
+        parse_class(format_class(a), a.ambient), pickle.loads(pickle.dumps(a)),
+    ]
+    for c in produced:
+        _assert_stored_form(c)
+
+
+def _format_oracle(c: NSClass) -> str:
+    """The canonical text with every coefficient written by str(Fraction)."""
+    pieces = []
+    for (i, j), coeff in sorted(c.terms().items(), key=lambda term: (-sum(term[0]), term[0][0])):
+        factors = ["x" if i == 1 else f"x^{i}"] * (i > 0) + ["theta" if j == 1 else f"theta^{j}"] * (j > 0)
+        pieces.append(("- " if coeff < 0 else "+ ") + "*".join([str(abs(coeff)), *factors]))
+    text = " ".join(pieces)
+    return "0" if not text else text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+LARGE_CLASSES = {
+    "gamma a > d-r": lambda: subordinate_class(Ambient(2, 300), LinearSeries(600, 0)),
+    "gamma a < 0": lambda: subordinate_class(Ambient(320, 300), LinearSeries(300, 1)),
+    "gamma 0 < a < d-r": lambda: subordinate_class(Ambient(200, 300), LinearSeries(400, 10)),
+    "ch 300": lambda: chern_character(Ambient(310, 300), 2, 17, 300),
+    "ch 299": lambda: chern_character(Ambient(290, 300), 3, -40, 299),
+}
+
+
+@pytest.mark.parametrize("build", LARGE_CLASSES.values(), ids=LARGE_CLASSES.keys())
+def test_format_class_matches_a_fraction_per_term(build):
+    # Large, mixed denominators: each term is reduced from the class's one denominator as it prints.
+    c = build()
+    assert len(c._terms) > 150 and c.den.bit_length() > 1000
+    assert format_class(c) == _format_oracle(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_classes())
+def test_format_class_matches_the_oracle_on_dense_classes(c):
+    assert format_class(c) == _format_oracle(c)
