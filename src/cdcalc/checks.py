@@ -9,7 +9,11 @@ Each `check_*` returns `(lhs, rhs, passed)` with both sides exact, and
 
 Report ordering is fixed (sorted by check id, then parameters) no matter
 how the checks are scheduled, and the JSON rendering is byte-deterministic
-once per-check timings are masked.
+once per-check timings are masked.  `report_json` fills a fixed template
+with each field's JSON text (strings through the C escaper `json` itself
+uses, ints through `str`) and writes exactly what `json.dumps(payload,
+indent=2)` would, without `json.dumps`'s pure-Python encoder, which it runs
+whenever an indent is set.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import io
 import json
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import comb
 
 from . import _EXPORTS, __version__
@@ -244,29 +249,51 @@ def run_all(g_min: int, g_max: int) -> Report:
     return Report(__version__, g_min, g_max, results)
 
 
+def _json(value, margin: str) -> str:
+    """`value` as `json.dumps(value, indent=2)` writes it, nested where lines start with `margin`."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return str(value)
+    if type(value) is bool:
+        return "true" if value else "false"
+    return json.dumps(value, indent=2).replace("\n", "\n" + margin)
+
+
+def _json_key(key) -> str:
+    """A dict key as json.dumps writes it: a str as itself, an int 5 as "5", True as "true"."""
+    return encode_basestring_ascii(key) if type(key) is str else json.dumps({key: 0})[1:-4]
+
+
+def _json_row(c: CheckResult, micros) -> str:
+    at = "      "
+    if c.params:
+        params = ",\n".join([f"{at}  {_json_key(k)}: {_json(c.params[k], at + '  ')}"
+                              for k in sorted(c.params)])
+        params = f"{{\n{params}\n{at}}}"
+    else:
+        params = "{}"
+    return (f'    {{\n{at}"id": {_json(c.check_id, at)},\n{at}"params": {params},\n'
+            f'{at}"lhs": {_json(c.lhs, at)},\n{at}"rhs": {_json(c.rhs, at)},\n'
+            f'{at}"passed": {_json(c.passed, at)},\n{at}"micros": {_json(micros, at)}\n    }}')
+
+
 def report_json(report: Report, include_timing: bool = True) -> str:
     """Render a report as JSON with stable key order.
 
     With include_timing=False the micros fields are zeroed, making the
-    output byte-identical across runs with the same inputs.
+    output byte-identical across runs with the same inputs.  The text is
+    what `json.dumps(payload, indent=2)` writes for the report's payload:
+    ASCII only, two-space indents, `{}` and `[]` for empty params and checks.
     """
-    payload = {
-        "version": report.version,
-        "range": {"gMin": report.g_min, "gMax": report.g_max},
-        "checks": [
-            {
-                "id": c.check_id,
-                "params": {k: c.params[k] for k in sorted(c.params)},
-                "lhs": c.lhs,
-                "rhs": c.rhs,
-                "passed": c.passed,
-                "micros": c.micros if include_timing else 0,
-            }
-            for c in report.checks
-        ],
-        "summary": {"total": report.total, "passed": report.passed, "failed": report.failed},
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    rows = ",\n".join([_json_row(c, c.micros if include_timing else 0) for c in report.checks])
+    checks = f"[\n{rows}\n  ]" if report.checks else "[]"
+    return (f'{{\n  "version": {_json(report.version, "  ")},\n'
+            f'  "range": {{\n    "gMin": {_json(report.g_min, "    ")},\n'
+            f'    "gMax": {_json(report.g_max, "    ")}\n  }},\n'
+            f'  "checks": {checks},\n'
+            f'  "summary": {{\n    "total": {report.total},\n'
+            f'    "passed": {report.passed},\n    "failed": {report.failed}\n  }}\n}}\n')
 
 
 def report_csv(report: Report) -> str:

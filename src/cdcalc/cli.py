@@ -232,15 +232,11 @@ def _emit(args, text_lines: list[str], payload: dict) -> None:
             print(line)
 
 
-def _use_color() -> bool:
-    return sys.stdout.isatty() and not os.environ.get("NO_COLOR")
-
-
-def _status_word(passed: bool) -> str:
-    word = "PASS" if passed else "FAIL"
-    if _use_color():
-        return f"\x1b[32m{word}\x1b[0m" if passed else f"\x1b[31m{word}\x1b[0m"
-    return word
+def _status_words() -> dict[bool, str]:
+    """passed -> PASS/FAIL, coloured when stdout is a terminal and NO_COLOR is unset or empty."""
+    if sys.stdout.isatty() and not os.environ.get("NO_COLOR"):
+        return {True: "\x1b[32mPASS\x1b[0m", False: "\x1b[31mFAIL\x1b[0m"}
+    return {True: "PASS", False: "FAIL"}
 
 
 # -- verb handlers ------------------------------------------------------------
@@ -362,9 +358,10 @@ def cmd_verify(args) -> int:
     elif args.format == "csv":
         print(report_csv(report), end="")
     else:
+        status = _status_words()  # decided once per call, not once per row
         for check in report.checks:
             params = " ".join(f"{k}={v}" for k, v in sorted(check.params.items()))
-            line = f"{_status_word(check.passed)} {check.check_id}"
+            line = f"{status[check.passed]} {check.check_id}"
             if params:
                 line += f" {params}"
             if not check.passed:

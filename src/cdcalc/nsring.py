@@ -52,8 +52,8 @@ RationalInput = int | Fraction
 def _coerce_coeff(value: RationalInput) -> Fraction:
     if type(value) is Fraction:
         return value
-    if isinstance(value, float):
-        raise TypeError("coefficients must be exact rationals, not floats")
+    if not isinstance(value, int):  # bools are ints, and read as 0 and 1
+        raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__}")
     return Fraction(value)
 
 
@@ -72,18 +72,21 @@ class Record:
     __slots__ = ()
 
     def __init__(self, *values):
-        fields = self.__slots__
-        if len(values) != len(fields):
+        setters = self._setters
+        if len(values) != len(setters):
+            fields = self.__slots__
             raise TypeError(f"{type(self).__name__} takes {len(fields)} values "
                             f"({', '.join(fields)}), got {len(values)}")
-        for name, value in zip(fields, values):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if len(cls.__slots__) < 2:
             raise TypeError(f"{cls.__name__} needs at least two fields in __slots__")
         cls._values = attrgetter(*cls.__slots__)  # a plain callable: pass the record
+        # Each slot's own setter: `__setattr__` below refuses every write, so `__init__` uses these.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __eq__(self, other):
         if type(other) is not type(self):

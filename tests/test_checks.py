@@ -5,10 +5,13 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cdcalc import (
     Ambient,
+    CheckResult,
     NSClass,
+    Report,
     check_kernel_decomposition,
     check_mult_and_chern,
     check_pencil_pairings,
@@ -21,6 +24,7 @@ from cdcalc import (
 )
 from cdcalc.checks import _render, pairing_sum_theta, pairing_sum_x
 from cdcalc.cli import main
+from report_oracle import report_json as reference_report_json
 
 
 def test_closed_form_sums():
@@ -36,6 +40,43 @@ def test_masked_report_is_byte_identical():
     text = report_json(run_all(5, 40), include_timing=False)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "a38efc8a9de334551df41f9a817429b1800e1fecd2f0ecd92c72c8115a521862"
+
+
+def test_masked_benchmark_sweep_is_byte_identical():
+    # the same for 5..120, the sweep the benchmark's verify-sweep workload checks on every call
+    text = report_json(run_all(5, 120), include_timing=False)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "2320c07d2d6adbe3b1382b5c6ef3b57de1aa5453addb63720027eca5a6b9f967"
+
+
+# Text that needs escaping: quotes, backslashes, control characters, non-ASCII (astral and surrogates).
+TRICKY = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "θ", "\u2028", "\U0001d703", "\ud800"]
+texts = st.lists(st.one_of(st.sampled_from(TRICKY), st.characters()), max_size=6).map("".join)
+ints = st.one_of(st.integers(-10**6, 10**6), st.integers(-10**400, 10**400))
+values = st.one_of(ints, st.booleans(), texts, st.none(), st.lists(ints, max_size=3))
+params = st.one_of(st.dictionaries(texts, values, max_size=4),
+                   st.dictionaries(st.integers(-9, 9), values, max_size=3),
+                   st.dictionaries(st.booleans(), values, max_size=2))
+rows = st.builds(CheckResult, texts, params, texts, texts, st.booleans(), ints)
+reports = st.builds(Report, texts, ints, ints, st.lists(rows, max_size=5))
+ROW = CheckResult("pencil-pairings", {"g": 5}, "(5, 3, 0)", "(5, 3, 1)", False, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports)
+@example(Report("0.1.0", 5, 5, []))
+@example(Report("0.1.0", 5, 6, [ROW, CheckResult("plane-quintic", {}, "1", "1", True, 3)]))
+@example(Report('v"\\\x01é', True, 10**300, [CheckResult("x", {"s": "\u2028", "b": False, "n": None},
+                                                        "\ud800", "θ", True, -(10**250))]))
+def test_report_json_matches_the_reference_renderer(report):
+    for include_timing in (True, False):
+        assert report_json(report, include_timing) == reference_report_json(report, include_timing)
+
+
+def test_report_json_matches_the_reference_renderer_on_a_sweep():
+    report = run_all(5, 12)
+    for include_timing in (True, False):
+        assert report_json(report, include_timing) == reference_report_json(report, include_timing)
 
 
 def _rows(report):

@@ -439,6 +439,47 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     assert "lhs=1" in out and "rhs=2" in out
 
 
+def _verify_on_a_terminal(capsys, monkeypatch, no_color):
+    """Text verify output with one failing row, stdout posing as a terminal; (output, isatty calls)."""
+    def fake_run_all(g_min, g_max):
+        return Report("0.0.0", g_min, g_max, [CheckResult("demo", {"g": 5}, "1", "2", False, 0),
+                                              CheckResult("demo", {"g": 6}, "1", "1", True, 0),
+                                              CheckResult("demo", {"g": 7}, "1", "1", True, 0)])
+
+    monkeypatch.setattr("cdcalc.checks.run_all", fake_run_all)
+    if no_color is None:
+        monkeypatch.delenv("NO_COLOR", raising=False)
+    else:
+        monkeypatch.setenv("NO_COLOR", no_color)
+    calls = []
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: calls.append(1) or True)
+    code, out, _ = run_cli(capsys, "verify", "--g-min", "5", "--g-max", "7")
+    assert code == 2
+    return out, len(calls)
+
+
+@pytest.mark.parametrize("no_color", [None, ""])
+def test_verify_colours_status_words_on_a_terminal(capsys, monkeypatch, no_color):
+    out, isatty_calls = _verify_on_a_terminal(capsys, monkeypatch, no_color)
+    assert out.splitlines() == [
+        "\x1b[31mFAIL\x1b[0m demo g=5  lhs=1  rhs=2",
+        "\x1b[32mPASS\x1b[0m demo g=6",
+        "\x1b[32mPASS\x1b[0m demo g=7",
+        "summary: 3 checks, 2 passed, 1 failed",
+    ]
+    assert isatty_calls == 1  # decided once per call, not once per row
+
+
+def test_verify_no_color_keeps_plain_words_on_a_terminal(capsys, monkeypatch):
+    out, _ = _verify_on_a_terminal(capsys, monkeypatch, "1")
+    assert out.splitlines() == [
+        "FAIL demo g=5  lhs=1  rhs=2",
+        "PASS demo g=6",
+        "PASS demo g=7",
+        "summary: 3 checks, 2 passed, 1 failed",
+    ]
+
+
 def test_verify_config_file(capsys, tmp_path):
     config = tmp_path / "sweep.cfg"
     config.write_text("# sweep range\ng-min = 5\ng-max = 5\n")

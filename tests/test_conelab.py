@@ -1,5 +1,6 @@
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,13 @@ def test_ray_rejects_floats():
     with pytest.raises(TypeError):
         ConeRay(Fraction(1), 0.25)
     assert ConeRay(2, -3) == ConeRay(Fraction(1), Fraction(-3, 2))
+
+
+@pytest.mark.parametrize("theta, x, name", [("1", "-3/2", "str"), (Fraction(1), " 3e-2 ", "str"),
+                                            (Decimal("0.5"), 1, "Decimal"), (1, None, "NoneType")])
+def test_ray_refuses_coefficients_that_are_not_int_or_fraction(theta, x, name):
+    with pytest.raises(TypeError, match=rf"^coefficients must be int or Fraction, got {name}$"):
+        ConeRay(theta, x)
 
 
 def test_ray_str():

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import time
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial
 
@@ -57,6 +58,32 @@ def test_floats_rejected():
         NSClass(amb, {(0, 1): 0.5})
     with pytest.raises(TypeError):
         amb.theta() * 0.5
+
+
+NOT_INT_OR_FRACTION = ["1/2", " 3e-2 ", "3", Decimal("0.5"), Decimal(2), 0.5, None, 1j]
+
+
+@pytest.mark.parametrize("value", NOT_INT_OR_FRACTION, ids=repr)
+def test_coefficients_must_be_int_or_fraction(value):
+    amb = Ambient(6, 4)
+    name = type(value).__name__
+    with pytest.raises(TypeError, match=rf"^coefficients must be int or Fraction, got {name}$"):
+        NSClass(amb, {(0, 1): value})
+    with pytest.raises(TypeError, match=rf"^coefficients must be int or Fraction, got {name}$"):
+        amb.monomial(1, 0, value)
+    with pytest.raises(TypeError):
+        amb.theta() * value
+    with pytest.raises(TypeError):
+        value * amb.theta()
+    with pytest.raises(TypeError):
+        amb.theta() / value
+
+
+def test_bool_coefficients_read_as_ints():
+    amb = Ambient(6, 4)
+    assert NSClass(amb, {(0, 1): True, (1, 0): False}) == amb.theta()
+    assert amb.monomial(1, 0, True) == amb.x()
+    assert amb.x() * True == amb.x() and amb.x() / True == amb.x()
 
 
 def test_immutability_and_hash():

@@ -87,18 +87,25 @@ def test_slotted_classes_are_records():
 
 
 def test_object_setattr_only_in_record_init():
-    allowed = {("Record", "__init__")}
+    """`object.__setattr__` only in `Record.__init__`, and a slot's `__set__` only inside `Record`:
+    neither may become a way around the records' immutability."""
     stray = []
     for name, tree in _trees():
-        inside = set()
+        inside_init, inside_record = set(), set()
         for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef):
+            if isinstance(cls, ast.ClassDef) and cls.name == "Record":
+                inside_record.update(map(id, ast.walk(cls)))
                 for method in cls.body:
-                    if isinstance(method, ast.FunctionDef) and (cls.name, method.name) in allowed:
-                        inside.update(map(id, ast.walk(method)))
-        stray += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
-                  and getattr(node.value, "id", None) == "object" and id(node) not in inside]
+                    if isinstance(method, ast.FunctionDef) and method.name == "__init__":
+                        inside_init.update(map(id, ast.walk(method)))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if (node.attr == "__setattr__" and getattr(node.value, "id", None) == "object"
+                    and id(node) not in inside_init):
+                stray.append(f"{name}:{node.lineno}: object.__setattr__")
+            if node.attr == "__set__" and id(node) not in inside_record:
+                stray.append(f"{name}:{node.lineno}: .__set__")
     assert stray == []
 
 
