@@ -125,7 +125,7 @@ def diagonal_class(amb: Ambient) -> NSClass:
     """Class of the locus of divisors with a repeated point: 2((g+d-1)x - theta)."""
     if amb.d < 2:
         raise ValueError(f"diagonal requires d >= 2, got d={amb.d}")
-    return NSClass(amb, {(0, 1): -2, (1, 0): 2 * (amb.g + amb.d - 1)})
+    return _of(amb, {(0, 1): -2, (1, 0): 2 * (amb.g + amb.d - 1)}, 1)
 
 
 def c1d_class(amb: Ambient) -> NSClass:
@@ -209,7 +209,7 @@ def system_c1(amb: Ambient, system: SystemData) -> NSClass:
         raise ValueError(
             f"not a virtual divisor configuration: dim V = {system.dim_v} != rank*d = {r * amb.d}"
         )
-    return NSClass(amb, {(0, 1): r, (1, 0): -(r * amb.d + r * amb.g - f - r)})
+    return _of(amb, {(0, 1): r, (1, 0): -(r * amb.d + r * amb.g - f - r)}, 1)
 
 
 def chern_character(amb: Ambient, rank: int, degree: int, max_degree: int) -> NSClass:

@@ -1,23 +1,24 @@
 """Two-ray convex cones in the (theta, x)-plane and a catalog of cone bounds.
 
 A divisor class a*theta + b*x on C_d is treated as the point (a, b); a cone
-is spanned by two non-proportional rays and membership is decided by an
-exact 2x2 linear solve, so boundary cases (the interesting ones) are never
-blurred by rounding.  The catalog records, per curve class and symmetric
-power, the best known restriction on the non-diagonal edge of the effective
-cone, tagged by claim strength: a proved boundary ray, a bound by an honest
-effective divisor, a bound by a virtual divisor, or the exclusion of a
-direction from the cone.
+is spanned by two non-proportional rays and membership is decided by the
+signs of integer cross products of the rays' and the query's directions, so
+boundary cases (the interesting ones) are never blurred by rounding.  The
+catalog records, per curve class and symmetric power, the best known
+restriction on the non-diagonal edge of the effective cone, tagged by claim
+strength: a proved boundary ray, a bound by an honest effective divisor, a
+bound by a virtual divisor, or the exclusion of a direction from the cone.
 """
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from fractions import Fraction
 
 from . import _EXPORTS
 from .catalog import _dm, diagonal_class
-from .nsring import Ambient, NSClass, Record, _coerce_coeff, _signed_sum, format_rational
+from .nsring import Ambient, NSClass, Record, _ratio, _signed_sum, format_rational
 
 __all__ = list(_EXPORTS["conelab"])
 
@@ -32,39 +33,41 @@ class ConeRay(Record):
     __slots__ = ("theta", "x")
 
     def __init__(self, theta: Fraction, x: Fraction):
-        a, b = _coerce_coeff(theta), _coerce_coeff(x)
-        if a == 0 and b == 0:
+        (n1, d1), (n2, d2) = _ratio(theta), _ratio(x)
+        p, q = n1 * d2, n2 * d1  # the direction times d1 * d2 > 0
+        if not (p or q):
             raise ValueError("a ray needs a nonzero direction")
-        scale = abs(a) if a != 0 else abs(b)
-        super().__init__(a / scale, b / scale)
+        scale = abs(p or q)
+        super().__init__(Fraction(p, scale), Fraction(q, scale))
 
     def __str__(self) -> str:
         terms = ((self.theta, "theta"), (self.x, "x"))
         return _signed_sum(term for term in terms if term[0])
 
 
+def _direction(ray: ConeRay) -> tuple[int, int]:
+    """Integers (p, q) with (p, q) a positive multiple of (theta, x): theta is 0 or +-1."""
+    x = ray.x
+    return (ray.theta.numerator * x.denominator, x.numerator)
+
+
 def slope(ray: ConeRay) -> Fraction | None:
     """The t with ray proportional to theta - t*x, or None for the vertical ray."""
-    if ray.theta == 0:
-        return None
-    return -ray.x / ray.theta
-
-
-def _sort_key(ray: ConeRay) -> tuple[int, Fraction]:
-    t = slope(ray)
-    return (1, Fraction(0)) if t is None else (0, t)
+    return (ray.x if ray.theta < 0 else -ray.x) if ray.theta else None
 
 
 class Cone2D(Record):
-    """The cone of nonnegative combinations of two independent rays."""
+    """The cone of nonnegative combinations of two independent rays, the smaller slope first."""
 
     __slots__ = ("ray1", "ray2")
 
     def __init__(self, ray1: ConeRay, ray2: ConeRay):
-        det = ray1.theta * ray2.x - ray2.theta * ray1.x
-        if det == 0:
+        (p1, q1), (p2, q2) = _direction(ray1), _direction(ray2)
+        det = p1 * q2 - p2 * q1
+        if not det:
             raise ValueError("degenerate cone: rays are proportional")
-        if _sort_key(ray2) < _sort_key(ray1):
+        # -q/p is the slope, so for two non-vertical rays slope2 < slope1 iff det * p1 * p2 > 0
+        if p2 and (not p1 or det * p1 * p2 > 0):
             ray1, ray2 = ray2, ray1
         super().__init__(ray1, ray2)
 
@@ -76,24 +79,19 @@ def ray_from_class(c: NSClass) -> ConeRay:
 
 
 def _divisor_coeffs(c: NSClass) -> tuple[int, int]:  # the numerators: the denominator only scales
-    if c.is_zero():
-        return (0, 0)
-    if c.pure_degree() != 1:
+    terms = c._terms  # numerators are nonzero, so a divisor class has no key but these two
+    a, b = terms.get((0, 1), 0), terms.get((1, 0), 0)
+    if len(terms) != (a != 0) + (b != 0):
         raise ValueError(f"cone queries need a divisor class (pure degree 1), got {c}")
-    return (c._terms.get((0, 1), 0), c._terms.get((1, 0), 0))
+    return (a, b)
 
 
 def contains(cone: Cone2D, query: NSClass | ConeRay) -> bool:
-    """Whether the class lies in the cone, by the signs of an exact 2x2 Cramer solve."""
-    if isinstance(query, ConeRay):
-        a, b = query.theta, query.x
-    else:
-        a, b = _divisor_coeffs(query)
-    r1, r2 = cone.ray1, cone.ray2
-    s = r2.x * a - r2.theta * b  # the coordinates times the determinant; Fraction * int is the fast order
-    t = r1.theta * b - r1.x * a
-    positive = r1.theta * r2.x > r2.theta * r1.x  # the sign of the determinant
-    return (s >= 0 and t >= 0) if positive else (s <= 0 and t <= 0)
+    """Whether the class lies in the cone, by the signs of integer cross products (no Fraction)."""
+    a, b = _direction(query) if isinstance(query, ConeRay) else _divisor_coeffs(query)
+    (p1, q1), (p2, q2) = _direction(cone.ray1), _direction(cone.ray2)
+    s, t = q2 * a - p2 * b, p1 * b - q1 * a  # the coordinates in the rays' basis times the determinant
+    return (s >= 0 and t >= 0) if p1 * q2 > p2 * q1 else (s <= 0 and t <= 0)
 
 
 def general_effective_cone_gm2(g: int) -> Cone2D:
@@ -216,6 +214,15 @@ def _field(record: dict, name: str, kind: type):
     return value
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")  # Fraction(str) also reads " 1", "1e3", "٣"
+
+
+def _rational(text: str) -> Fraction:
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(text)
+    return Fraction(text)
+
+
 def _parsed_field(record: dict, name: str, parse):
     text = _field(record, name, str)
     try:
@@ -228,8 +235,8 @@ def bounds_from_json(text: str) -> list[BoundEntry]:
     """Read back the output of bounds_to_json.
 
     Exact input only: g and d must be JSON integers, the ray coordinates
-    strings such as "-6/5".  A malformed record raises ValueError naming
-    the offending field.
+    ASCII strings "-6", "-6/5" or "-1.5" (the "-" optional).  A malformed
+    record raises ValueError naming the offending field.
     """
     import json
 
@@ -240,20 +247,13 @@ def bounds_from_json(text: str) -> list[BoundEntry]:
     for record in records:
         if not isinstance(record, dict):
             raise ValueError(f"bound record must be an object, got {record!r}")
-        theta = _parsed_field(record, "rayTheta", Fraction)
-        x = _parsed_field(record, "rayX", Fraction)
+        theta, x = (_parsed_field(record, name, _rational) for name in ("rayTheta", "rayX"))
         try:
             ray = ConeRay(theta, x)
         except ValueError as exc:
             raise ValueError(f"bound record fields 'rayTheta'/'rayX': {exc}") from None
-        entries.append(
-            BoundEntry(
-                _parsed_field(record, "curveClass", CurveClass),
-                _field(record, "g", int),
-                _field(record, "d", int),
-                ray,
-                _parsed_field(record, "status", BoundStatus),
-                _field(record, "paperRef", str),
-            )
-        )
+        entries.append(BoundEntry(
+            _parsed_field(record, "curveClass", CurveClass), _field(record, "g", int),
+            _field(record, "d", int), ray, _parsed_field(record, "status", BoundStatus),
+            _field(record, "paperRef", str)))
     return entries

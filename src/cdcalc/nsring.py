@@ -57,6 +57,14 @@ def _coerce_coeff(value: RationalInput) -> Fraction:
     return Fraction(value)
 
 
+def _ratio(value: RationalInput) -> tuple[int, int]:
+    """The exact coefficient as (numerator, denominator > 0), refused as `_coerce_coeff` refuses it.
+
+    `NSClass.__init__` inlines this, since it runs once per input term.
+    """
+    return (value if type(value) in (int, Fraction) else _coerce_coeff(value)).as_integer_ratio()
+
+
 class Record:
     """Base of the immutable value types: fields held in ``__slots__``.
 
@@ -246,7 +254,7 @@ class NSClass(Record):
                     product[key] = product.get(key, 0) + n1 * n2
             return _of(self.ambient, product, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            num, den = _coerce_coeff(other).as_integer_ratio()
+            num, den = _ratio(other)
             return _of(self.ambient, {key: n * num for key, n in self._terms.items()}, self.den * den)
         return NotImplemented
 
@@ -419,4 +427,4 @@ def pair(a: NSClass, b: NSClass) -> Fraction:
 
 def canonical_class(amb: Ambient) -> NSClass:
     """Class of the canonical bundle of C_d: theta + (g-d-1)*x."""
-    return NSClass(amb, {(0, 1): 1, (1, 0): amb.g - amb.d - 1})
+    return _of(amb, {(0, 1): 1, (1, 0): amb.g - amb.d - 1}, 1)

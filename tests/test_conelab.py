@@ -133,6 +133,26 @@ def test_contains_matches_nonnegative_combination():
     assert signs == {True, False}
 
 
+def test_contains_does_no_fraction_arithmetic(monkeypatch):
+    amb = Ambient(9, 7)
+    cone = general_effective_cone_gm2(9)
+    on_edge = NSClass(amb, {(0, 1): Fraction(7, 2), (1, 0): Fraction(-9, 2)})
+    queries = [amb.theta(), amb.theta() - 2 * amb.x(), on_edge, amb.zero(),
+               cone.ray1, cone.ray2, ConeRay(Fraction(-1, 3), Fraction(2, 7)), ConeRay(0, -1)]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in contains")
+
+    for name in ("__mul__", "__rmul__", "__sub__", "__rsub__", "__add__", "__radd__", "__truediv__",
+                 "__rtruediv__", "__lt__", "__gt__", "__le__", "__ge__", "__eq__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    with pytest.raises(AssertionError):
+        Fraction(1, 2) < 1  # the guard is live
+    answers = [contains(cone, query) for query in queries]
+    monkeypatch.undo()
+    assert answers == [True, False, True, True, True, True, False, False]
+
+
 def test_general_cone_rays():
     cone = general_effective_cone_gm2(6)
     assert {cone.ray1, cone.ray2} == {
@@ -273,6 +293,11 @@ def _record(**changes):
     (_record(paperRef=None), "paperRef"),
     ({k: v for k, v in _record().items() if k != "rayX"}, "rayX"),
     ({k: v for k, v in _record().items() if k != "g"}, "g"),
+    (_record(rayX="٣"), "rayX"),
+    (_record(rayX="6_0"), "rayX"),
+    (_record(rayX=" 3/4 "), "rayX"),
+    (_record(rayTheta="+6/5"), "rayTheta"),
+    (_record(rayTheta="1e3"), "rayTheta"),
 ])
 def test_bounds_from_json_rejects_malformed_field(record, field):
     with pytest.raises(ValueError, match=field):

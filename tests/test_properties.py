@@ -1,6 +1,7 @@
-"""Property checks for the integer hot paths: pairing, evaluation, binomials, push-pull, parsing."""
+"""Property checks for the integer paths: pairing, evaluation, binomials, push-pull, parsing, cones."""
 
 import pickle
+import re
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, gcd
@@ -8,9 +9,10 @@ from math import comb, factorial, gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cone_oracle
 from cdcalc import (
-    Ambient, LinearSeries, NSClass, binom, chern_character, eval_top, format_class, pair, pushpull,
-    subordinate_class,
+    Ambient, Cone2D, ConeRay, LinearSeries, NSClass, binom, chern_character, contains, eval_top,
+    format_class, pair, pushpull, subordinate_class,
 )
 from cdcalc.cli import parse_class
 
@@ -255,3 +257,107 @@ def test_format_class_matches_a_fraction_per_term(build):
 @given(dense_classes())
 def test_format_class_matches_the_oracle_on_dense_classes(c):
     assert format_class(c) == _format_oracle(c)
+
+
+# -- cones: integer directions against the Fraction oracle ----------------------
+
+coords = st.integers(-6, 6) | st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+directions = st.tuples(coords, coords).filter(lambda d: d != (0, 0))
+scales = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+
+
+def _same_error(expected: ValueError):
+    return pytest.raises(ValueError, match=f"^{re.escape(str(expected))}$")
+
+
+@settings(max_examples=300, deadline=None)
+@given(coords, coords)
+@example(0, 0)
+@example(0, Fraction(-5, 3))
+@example(Fraction(-4, 6), 8)
+@example(Fraction(3, 4), Fraction(-5, 6))
+def test_cone_ray_matches_the_fraction_oracle(theta, x):
+    try:
+        expected = cone_oracle.ray(theta, x)
+    except ValueError as exc:
+        with _same_error(exc):
+            ConeRay(theta, x)
+        return
+    ray = ConeRay(theta, x)
+    assert (ray.theta, ray.x) == expected
+    assert type(ray.theta) is type(ray.x) is Fraction
+
+
+@st.composite
+def cone_cases(draw):
+    """Two ray directions: independent, proportional (either way round), or the second vertical."""
+    d1 = draw(directions)
+    kind = draw(st.sampled_from(["free", "proportional", "vertical"]))
+    if kind == "proportional":
+        scale = draw(scales)
+        return d1, (d1[0] * scale, d1[1] * scale)
+    return d1, ((0, draw(scales)) if kind == "vertical" else draw(directions))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone_cases())
+@example(((1, -2), (3, -6)))
+@example(((1, -2), (-1, 2)))
+@example(((0, 1), (0, -3)))
+@example(((0, 1), (1, Fraction(-3, 2))))
+@example(((1, Fraction(-3, 2)), (0, -1)))
+@example(((-1, 9), (1, Fraction(-3, 2))))
+def test_cone2d_matches_the_fraction_oracle(case):
+    d1, d2 = case
+    try:
+        expected = cone_oracle.cone(cone_oracle.ray(*d1), cone_oracle.ray(*d2))
+    except ValueError as exc:
+        with _same_error(exc):
+            Cone2D(ConeRay(*d1), ConeRay(*d2))
+        return
+    cone = Cone2D(ConeRay(*d1), ConeRay(*d2))
+    assert ((cone.ray1.theta, cone.ray1.x), (cone.ray2.theta, cone.ray2.x)) == expected
+
+
+@st.composite
+def contains_cases(draw):
+    """A cone and a query: a divisor class or a ray (on an edge or not), zero, or not a divisor."""
+    d1, d2 = draw(cone_cases().filter(lambda case: case[0][0] * case[1][1] != case[1][0] * case[0][1]))
+    amb = draw(ambients())
+    kind = draw(st.sampled_from(["class", "ray", "edge class", "edge ray", "zero", "not a divisor"]))
+    if kind.startswith("edge"):
+        scale, (a, b) = draw(scales), draw(st.sampled_from([d1, d2]))
+        query = (a * scale, b * scale)
+    else:
+        query = draw(directions)
+    if kind.endswith("ray"):
+        return d1, d2, query
+    terms = {} if kind == "zero" else {(0, 1): query[0], (1, 0): query[1]}
+    if kind == "not a divisor":
+        terms[(0, 0)] = draw(scales)
+    return d1, d2, NSClass(amb, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(contains_cases())
+@example(((1, -1), (1, -2), (1, Fraction(-3, 2))))
+@example(((1, -1), (-1, 3), NSClass(Ambient(6, 4), {(0, 1): 2, (1, 0): -2})))
+@example(((0, 1), (1, 0), (0, 5)))
+@example(((0, 1), (1, 0), (0, -5)))
+@example(((-1, 9), (1, Fraction(-3, 2)), Ambient(6, 4).zero()))
+@example(((-1, 9), (1, Fraction(-3, 2)), Ambient(6, 4).one()))
+@example(((-1, 9), (1, Fraction(-3, 2)), NSClass(Ambient(6, 4), {(0, 1): Fraction(-1, 3), (1, 0): 3})))
+def test_contains_matches_the_fraction_oracle(case):
+    d1, d2, query = case
+    cone = Cone2D(ConeRay(*d1), ConeRay(*d2))
+    reference = cone_oracle.cone(cone_oracle.ray(*d1), cone_oracle.ray(*d2))
+    if isinstance(query, tuple):
+        assert contains(cone, ConeRay(*query)) == cone_oracle.contains(reference, cone_oracle.ray(*query))
+        return
+    try:
+        expected = cone_oracle.contains(reference, query)
+    except ValueError as exc:
+        with _same_error(exc):
+            contains(cone, query)
+        return
+    assert contains(cone, query) == expected
