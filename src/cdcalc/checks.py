@@ -184,7 +184,7 @@ def check_plane_quintic() -> tuple:
         h1_bookkeeping == h1_rule == 3
         and dm == 2 * twisted
         and twisted.ambient == amb
-        and all(Fraction(a) == Fraction(b) for a, b in zip(lhs[1:], rhs[1:]))
+        and lhs[1:] == rhs[1:]
     )
 
 

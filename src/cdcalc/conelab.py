@@ -42,7 +42,7 @@ class ConeRay(Record):
 
     def __str__(self) -> str:
         terms = ((self.theta, "theta"), (self.x, "x"))
-        return _signed_sum(term for term in terms if term[0])
+        return _signed_sum((format_rational(value), name) for value, name in terms if value)
 
 
 def _direction(ray: ConeRay) -> tuple[int, int]:
@@ -152,14 +152,13 @@ def _bounds(curve: CurveClass, g: int, d: int) -> list[BoundEntry]:
         return []
     if (curve, g - d) in _SPECIAL_RAYS:
         t, source = _SPECIAL_RAYS[curve, g - d]
-        return [BoundEntry(curve, g, d, ConeRay(Fraction(1), Fraction(-t)),
-                           BoundStatus.PROVED_BOUNDARY, source)]
+        return [BoundEntry(curve, g, d, ConeRay(1, -t), BoundStatus.PROVED_BOUNDARY, source)]
     if curve is CurveClass.GENERAL and g >= 5 and (g - d) % 2 == 0:
         status, source = _GENERAL_RAYS[min((g - d) // 2, 3)]
         ray = ray_from_class(_dm(g, (g - d) // 2, scaled=False))
         return [BoundEntry(curve, g, d, ray, status, source)]
     if curve is CurveClass.PLANE_QUINTIC and (g, d) == (6, 4):
-        return [BoundEntry(curve, g, d, ConeRay(Fraction(1), Fraction(-2)), BoundStatus.EXCLUSION,
+        return [BoundEntry(curve, g, d, ConeRay(1, -2), BoundStatus.EXCLUSION,
                            "excluded direction: no effective divisor on C_4 is proportional to it")]
     return []
 
@@ -234,9 +233,9 @@ def _parsed_field(record: dict, name: str, parse):
 def bounds_from_json(text: str) -> list[BoundEntry]:
     """Read back the output of bounds_to_json.
 
-    Exact input only: g and d must be JSON integers, the ray coordinates
-    ASCII strings "-6", "-6/5" or "-1.5" (the "-" optional).  A malformed
-    record raises ValueError naming the offending field.
+    Exact input only: g and d must be JSON integers with 2 <= d < g, the ray
+    coordinates ASCII strings "-6", "-6/5" or "-1.5" (the "-" optional).  A
+    malformed record raises ValueError naming the offending field.
     """
     import json
 
@@ -252,8 +251,10 @@ def bounds_from_json(text: str) -> list[BoundEntry]:
             ray = ConeRay(theta, x)
         except ValueError as exc:
             raise ValueError(f"bound record fields 'rayTheta'/'rayX': {exc}") from None
-        entries.append(BoundEntry(
-            _parsed_field(record, "curveClass", CurveClass), _field(record, "g", int),
-            _field(record, "d", int), ray, _parsed_field(record, "status", BoundStatus),
-            _field(record, "paperRef", str)))
+        g, d = _field(record, "g", int), _field(record, "d", int)
+        if not 2 <= d < g:
+            raise ValueError(f"bound record fields 'g'/'d' need 2 <= d < g, got g={g}, d={d}")
+        entries.append(BoundEntry(_parsed_field(record, "curveClass", CurveClass), g, d, ray,
+                                  _parsed_field(record, "status", BoundStatus),
+                                  _field(record, "paperRef", str)))
     return entries

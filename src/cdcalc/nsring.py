@@ -22,9 +22,10 @@ the product class.
 
 A class holds integer numerators over one denominator (see `NSClass`), so
 the ring operations, `eval_top`, `pair` and `catalog.pushpull` run in
-integers.  Fractions are built only at the edges: `terms()`,
-`coefficient()`, pickling and the scalars `eval_top` and `pair` return;
-`format_class` reduces each term as it prints it.
+integers.  `_ratio` reads every exact input and `_lowest_terms` writes every
+exact value, so Fractions are built only at the edges: `terms()`,
+`coefficient()`, pickling, the reciprocal in `/` and the scalars `eval_top`
+and `pair` return.
 
 Equality of classes is formal (coefficient-wise): no relations among the
 monomials x^i theta^j below top degree are imposed, so the ring is valid
@@ -49,20 +50,14 @@ __all__ = list(_EXPORTS["nsring"])
 RationalInput = int | Fraction
 
 
-def _coerce_coeff(value: RationalInput) -> Fraction:
-    if type(value) is Fraction:
-        return value
-    if not isinstance(value, int):  # bools are ints, and read as 0 and 1
-        raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__}")
-    return Fraction(value)
-
-
 def _ratio(value: RationalInput) -> tuple[int, int]:
-    """The exact coefficient as (numerator, denominator > 0), refused as `_coerce_coeff` refuses it.
+    """The one reader of an exact input: (numerator, denominator > 0) as plain ints, in lowest terms.
 
-    `NSClass.__init__` inlines this, since it runs once per input term.
+    Anything but an int (a bool reads as 0 or 1) or a Fraction raises TypeError.
     """
-    return (value if type(value) in (int, Fraction) else _coerce_coeff(value)).as_integer_ratio()
+    if type(value) is Fraction or isinstance(value, int):
+        return value.as_integer_ratio()
+    raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__}")
 
 
 class Record:
@@ -187,7 +182,7 @@ class NSClass(Record):
                 raise ValueError(f"negative exponent in term x^{i}*theta^{j}")
             if i + j > ambient.d:
                 continue  # vanishes for dimension reasons
-            n, q = (raw if type(raw) in (int, Fraction) else _coerce_coeff(raw)).as_integer_ratio()
+            n, q = _ratio(raw)
             if n:
                 read.append((shared(key, key), n, q))
         den = lcm(*[q for _key, _n, q in read])  # n/q in lowest terms, so gcd(den, *numerators) == 1
@@ -265,7 +260,8 @@ class NSClass(Record):
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / _coerce_coeff(other))
+            num, den = _ratio(other)
+            return self * Fraction(den, num)
         return NotImplemented
 
     def __pow__(self, exponent: int):
@@ -317,7 +313,7 @@ def _of(ambient: Ambient, nums: dict, den: int) -> NSClass:
 
 def format_rational(q: RationalInput) -> str:
     """Canonical string for an exact rational: "p/q", or "p" when integral."""
-    return str(_coerce_coeff(q))
+    return _lowest_terms(*_ratio(q))
 
 
 def _format_monomial(i: int, j: int) -> str:
@@ -330,13 +326,12 @@ def _format_monomial(i: int, j: int) -> str:
 
 
 def _signed_sum(terms) -> str:
-    """Join (nonzero coefficient, monomial) pairs as "c1*m1 - c2*m2 + c3", or "0" if none.
+    """Join (nonzero coefficient text, monomial) pairs as "c1*m1 - c2*m2 + c3", or "0" if none.
 
     The one place a signed sum's text is decided, for classes and cone rays alike.
     """
     pieces = []
-    for coeff, monomial in terms:
-        text = str(coeff)
+    for text, monomial in terms:
         pieces.append(" - " + text[1:] if text[0] == "-" else " + " + text)
         if monomial:
             pieces.append("*" + monomial)
@@ -360,7 +355,7 @@ def format_class(c: NSClass) -> str:
 
 
 def _lowest_terms(n: int, den: int) -> str:
-    """n/den as str(Fraction(n, den)) writes it: "p/q" in lowest terms, or "p" when integral."""
+    """The one writer of an exact value: n/den (den > 0) as "p/q" in lowest terms, or "p" if integral."""
     common = gcd(n, den)
     return str(n // den) if common == den else f"{n // common}/{den // common}"
 
@@ -407,6 +402,7 @@ def pair(a: NSClass, b: NSClass) -> Fraction:
     runs in integers.  Symmetric and bilinear over exact rational scalars.
     """
     a._require_same_ambient(b)
+    _check_evaluable(a.ambient)
     if a.is_zero() or b.is_zero():
         return Fraction(0)
     da, db = a.pure_degree(), b.pure_degree()
@@ -416,7 +412,6 @@ def pair(a: NSClass, b: NSClass) -> Fraction:
             f"got {da} and {db}"
         )
     g, d = a.ambient.g, a.ambient.d
-    _check_evaluable(a.ambient)
     weights = _top_weights(g, d, min(i for i, _j in a._terms) + min(i for i, _j in b._terms))
     total = 0
     for (i1, _j1), n1 in a._terms.items():

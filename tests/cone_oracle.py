@@ -1,9 +1,10 @@
 """The reference cone arithmetic: `ConeRay`, `Cone2D` and `contains` in `Fraction`s.
 
 This is the arithmetic that `cdcalc.conelab` replaced with integer
-directions, kept word for word apart from returning plain tuples: a ray is
-normalised by dividing by its first nonzero coordinate, a cone orders its
-rays by slope, and membership is read off the signs of a Cramer solve.  On
+directions, kept word for word apart from returning plain tuples and
+reading its inputs through `nsring._ratio`: a ray is normalised by dividing
+by its first nonzero coordinate, a cone orders its rays by slope, and
+membership is read off the signs of a Cramer solve.  On
 any input, both must give equal ray fields, the same ray order, the same
 membership, or the same `ValueError` message.  It lives only in the tests;
 the package has one implementation.
@@ -14,14 +15,14 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from cdcalc.nsring import NSClass, _coerce_coeff
+from cdcalc.nsring import NSClass, _ratio
 
 Ray = namedtuple("Ray", "theta x")
 Cone = namedtuple("Cone", "ray1 ray2")
 
 
 def ray(theta, x) -> Ray:
-    a, b = _coerce_coeff(theta), _coerce_coeff(x)
+    a, b = Fraction(*_ratio(theta)), Fraction(*_ratio(x))
     if a == 0 and b == 0:
         raise ValueError("a ray needs a nonzero direction")
     scale = abs(a) if a != 0 else abs(b)

@@ -170,7 +170,7 @@ def test_resolve_named_reference():
     assert resolve_class("<canonical 6 4>", amb) == NSClass(amb, {(0, 1): 1, (1, 0): 1})
 
 
-def test_resolve_reference_errors():
+def test_resolve_reference_errors(capsys):
     amb = Ambient(6, 4)
     from cdcalc.cli import UsageError
 
@@ -184,6 +184,9 @@ def test_resolve_reference_errors():
         resolve_class("<gamma 6 3 5 1>", amb)
     with pytest.raises(UsageError, match="unterminated"):
         resolve_class("<gamma 6 4 5 1", amb)
+    for ref in ("<>", "< >"):
+        code, out, err = run_cli(capsys, "eval", "--g", "6", "--d", "4", "--expr", ref)
+        assert (code, out, err) == (1, "", "usage error: empty class reference\n")
 
 
 def test_reference_to_another_ambient_is_refused_before_it_is_built(monkeypatch):
@@ -537,6 +540,8 @@ def test_operation_errors_exit_1(capsys):
     assert code == 1 and "m out of range" in err
     code, _, err = run_cli(capsys, "cone", "--curve", "general", "--g", "8", "--d", "5")
     assert code == 1 and "no catalogued bound" in err
+    code, _, err = run_cli(capsys, "pair", "--g", "3", "--d", "5", "--a", "0*x", "--b", "1*x")
+    assert code == 1 and "evaluation undefined" in err
 
 
 # -- one integer reader, one verb table -----------------------------------------

@@ -267,6 +267,8 @@ def test_catalog_json_round_trip():
     text = bounds_to_json(entries)
     assert bounds_from_json(text) == entries
     assert bounds_to_json(bounds_from_json(text)) == text  # byte-identical
+    wide = full_catalog(2, 60)  # every (g, d) the catalogue writes passes the reader's 2 <= d < g
+    assert bounds_from_json(bounds_to_json(wide)) == wide
     records = json.loads(text)
     assert list(records[0]) == ["curveClass", "g", "d", "rayTheta", "rayX", "status", "paperRef"]
     statuses = {r["status"] for r in records}
@@ -298,6 +300,9 @@ def _record(**changes):
     (_record(rayX=" 3/4 "), "rayX"),
     (_record(rayTheta="+6/5"), "rayTheta"),
     (_record(rayTheta="1e3"), "rayTheta"),
+    (_record(g=-5, d=100), "'g'/'d'.*g=-5, d=100"),
+    (_record(d=1), "'g'/'d'.*g=6, d=1"),
+    (_record(d=6), "'g'/'d'.*g=6, d=6"),
 ])
 def test_bounds_from_json_rejects_malformed_field(record, field):
     with pytest.raises(ValueError, match=field):

@@ -201,6 +201,8 @@ def test_pair_degree_mismatch():
     excess = Ambient(4, 5)
     with pytest.raises(ValueError, match="evaluation undefined"):
         pair(excess.theta(), excess.monomial(1, 3))
+    with pytest.raises(ValueError, match="evaluation undefined"):  # as eval_top refuses the zero class
+        pair(excess.zero(), excess.x())
 
 
 def test_eval_top_large_genus_is_fast():

@@ -140,3 +140,45 @@ def test_version_is_declared_once():
         assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "cdcalc.__version__"}
     assert not (PACKAGE / "_version.py").exists()
     assert run_all(5, 5).version == cdcalc.__version__
+
+
+def test_as_integer_ratio_only_in_ratio():
+    """`nsring._ratio` is the one reader that turns an int or a Fraction into (numerator, denominator)."""
+    stray = []
+    for name, tree in _trees():
+        inside = set()
+        for node in ast.walk(tree):
+            if name == "nsring.py" and isinstance(node, ast.FunctionDef) and node.name == "_ratio":
+                inside.update(map(id, ast.walk(node)))
+        stray += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "as_integer_ratio"
+                  and id(node) not in inside]
+    assert stray == []
+
+
+def test_printers_write_no_fraction_through_str(monkeypatch):
+    """Every printer writes exact values through `nsring._lowest_terms`, never `Fraction.__str__`."""
+    import io
+    from contextlib import redirect_stdout
+    from fractions import Fraction
+
+    from cdcalc import (Ambient, ConeRay, LinearSeries, bounds_to_json, format_class,
+                        format_rational, full_catalog, subordinate_class)
+    from cdcalc.checks import report_csv, report_json, run_all
+    from cdcalc.cli import main
+
+    def refuse(self):
+        raise AssertionError("Fraction.__str__ called")
+
+    monkeypatch.setattr(Fraction, "__str__", refuse)
+    gamma = subordinate_class(Ambient(6, 4), LinearSeries(5, 1))
+    report = run_all(5, 7)  # renders both sides of each check
+    assert format_class(gamma) == "1/6*theta^3 - 1*x*theta^2 + 3*x^2*theta - 4*x^3"
+    assert (format_rational(Fraction(3, 2)), format_rational(Fraction(7))) == ("3/2", "7")
+    assert str(ConeRay(2, -3)) == "1*theta - 3/2*x"
+    assert '"rayX": "-3/2"' in bounds_to_json(full_catalog(2, 12))
+    assert report_json(report, include_timing=False) and report_csv(report)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["cone", "--curve", "general", "--g", "6", "--d", "4", "--format", "json"])
+    assert code == 0 and '"-3/2"' in out.getvalue()
