@@ -26,7 +26,7 @@ from __future__ import annotations
 from math import comb, factorial
 
 from . import _EXPORTS
-from .nsring import Ambient, NSClass, Record, _of, _top_weights, canonical_class
+from .nsring import Ambient, NSClass, Record, _of, _require_int_args, _top_weights, canonical_class
 
 __all__ = list(_EXPORTS["catalog"])
 
@@ -159,12 +159,13 @@ def pushpull(c: NSClass, k: int) -> NSClass:
     contribution is one integer product added into an int per output
     monomial, and no Fraction is built.
     """
+    _require_int_args("pushpull", k=k)
     if k < 0:
         raise ValueError(f"push-pull index must be nonnegative, got k={k}")
     amb = c.ambient
     if k >= amb.d:
         raise ValueError(f"push-pull index must satisfy k < d, got k={k} on C_{amb.d}")
-    target = Ambient(amb.g, amb.d - k)
+    target = Ambient._make(amb.g, amb.d - k)  # 1 <= d - k, and g is the source's
     g = amb.g
     out: dict[tuple[int, int], int] = {}
     for (a, b), n in c._terms.items():
@@ -190,12 +191,14 @@ def dm_class(g: int, m: int) -> NSClass:
 def _dm(g: int, m: int, scaled: bool) -> NSClass:
     """(g-2m)/g * theta - x on C_{g-2m}, times binom(g, m) when scaled: D_m, or its ray.
 
-    The range is checked first, so an m out of range builds no binomial.
+    The types and the range are checked first, so an m out of range builds no binomial,
+    and they make C_{g-2m} a valid ambient: g >= 2m + 2 >= 4.
     """
+    _require_int_args("dm_class", g=g, m=m)
     if m < 1 or 2 * m > g - 2:
         raise ValueError(f"m out of range: need 1 <= m <= g/2 - 1, got g={g}, m={m}")
     scale = binom(g, m) if scaled else 1
-    return _of(Ambient(g, g - 2 * m), {(0, 1): scale * (g - 2 * m), (1, 0): -scale * g}, g)
+    return _of(Ambient._make(g, g - 2 * m), {(0, 1): scale * (g - 2 * m), (1, 0): -scale * g}, g)
 
 
 def system_c1(amb: Ambient, system: SystemData) -> NSClass:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -47,7 +46,16 @@ __all__ = list(_EXPORTS["checks"])
 
 
 class CheckResult(Record):
+    """One row of a report; `params` maps str to int, the domain `report.schema.json` allows."""
+
     __slots__ = ("check_id", "params", "lhs", "rhs", "passed", "micros")
+
+    def __init__(self, *values):
+        super().__init__(*values)
+        params = self.params
+        if type(params) is not dict or not all(type(key) is str and type(value) is int
+                                                for key, value in params.items()):
+            raise TypeError(f"CheckResult field params must map str to int, got {params!r}")
 
 
 class Report(Record):
@@ -90,22 +98,26 @@ def pairing_sum_theta(g: int) -> Fraction:
     sum_{j=0}^{g-3} (-1)^j (j+1) g! / ((j+2)! (g-3-j)!), computed with no
     ring arithmetic at all, as an oracle independent of the class expansion.
     Each term is an integer, g!/((j+2)!(g-3-j)!) = binom(g, j+2) (g-2-j), so
-    the sum runs in integers.
+    the sum runs in integers, over the signed binomial b_j = (-1)^j binom(g, j+2), kept
+    running by b_{j+1} = -b_j (g-2-j)/(j+3) (an exact division).
     """
-    total = 0
+    total, signed = 0, comb(g, 2)
     for j in range(g - 2):
-        total += (-1) ** j * (j + 1) * comb(g, j + 2) * (g - 2 - j)
+        total += (j + 1) * (g - 2 - j) * signed
+        signed = -signed * (g - 2 - j) // (j + 3)
     return Fraction(total)
 
 
 def pairing_sum_x(g: int) -> Fraction:
     """Companion sum with (j+3)! in the denominator; equals g - 2.
 
-    Here g!/((j+3)!(g-3-j)!) = binom(g, j+3).
+    Here g!/((j+3)!(g-3-j)!) = binom(g, j+3), and its signed value runs as in
+    `pairing_sum_theta`, by (-1)^(j+1) binom(g, j+4) = -(-1)^j binom(g, j+3) (g-3-j)/(j+4).
     """
-    total = 0
+    total, signed = 0, comb(g, 3)
     for j in range(g - 2):
-        total += (-1) ** j * (j + 1) * comb(g, j + 3)
+        total += (j + 1) * signed
+        signed = -signed * (g - 3 - j) // (j + 4)
     return Fraction(total)
 
 
@@ -131,8 +143,8 @@ def check_pencil_pairings(g: int) -> tuple:
 def check_pushpull_closed_form(g: int, m: int) -> tuple:
     """Raw push-pull of the moving-divisor class from C_{g-m} down to C_{g-2m}
     against its closed form binom(g,m)((g-2m)/g theta - x)."""
-    closed = dm_class(g, m)  # first, so its range check guards the push-pull too
-    raw = pushpull(c1d_class(Ambient(g, g - m)), m)
+    closed = dm_class(g, m)  # first: its type and range checks make C_{g-m} a valid ambient
+    raw = pushpull(c1d_class(Ambient._make(g, g - m)), m)
     return raw, closed, raw == closed
 
 
@@ -219,7 +231,8 @@ def _run(check_id: str, fn, params: dict) -> CheckResult:
     lhs_text = _render(lhs)
     # Equal values render alike (class term maps are canonical), so a passing row renders once.
     rhs_text = lhs_text if passed and lhs == rhs else _render(rhs)
-    return CheckResult(check_id, params, lhs_text, rhs_text, bool(passed), micros)
+    # Unchecked: `params` come from `run_all`'s own plan, so they are already {str: int}.
+    return CheckResult._make(check_id, params, lhs_text, rhs_text, bool(passed), micros)
 
 
 def run_all(g_min: int, g_max: int) -> Report:
@@ -249,33 +262,27 @@ def run_all(g_min: int, g_max: int) -> Report:
     return Report(__version__, g_min, g_max, results)
 
 
-def _json(value, margin: str) -> str:
-    """`value` as `json.dumps(value, indent=2)` writes it, nested where lines start with `margin`."""
+def _json(value) -> str:
+    """A report field (a str, an int or a bool) as `json.dumps` writes it."""
     if type(value) is str:
         return encode_basestring_ascii(value)
     if type(value) is int:
         return str(value)
     if type(value) is bool:
         return "true" if value else "false"
-    return json.dumps(value, indent=2).replace("\n", "\n" + margin)
-
-
-def _json_key(key) -> str:
-    """A dict key as json.dumps writes it: a str as itself, an int 5 as "5", True as "true"."""
-    return encode_basestring_ascii(key) if type(key) is str else json.dumps({key: 0})[1:-4]
+    raise TypeError(f"a report field must be a str, an int or a bool, got {value!r}")
 
 
 def _json_row(c: CheckResult, micros) -> str:
     at = "      "
     if c.params:
-        params = ",\n".join([f"{at}  {_json_key(k)}: {_json(c.params[k], at + '  ')}"
-                              for k in sorted(c.params)])
+        params = ",\n".join([f"{at}  {_json(k)}: {_json(c.params[k])}" for k in sorted(c.params)])
         params = f"{{\n{params}\n{at}}}"
     else:
         params = "{}"
-    return (f'    {{\n{at}"id": {_json(c.check_id, at)},\n{at}"params": {params},\n'
-            f'{at}"lhs": {_json(c.lhs, at)},\n{at}"rhs": {_json(c.rhs, at)},\n'
-            f'{at}"passed": {_json(c.passed, at)},\n{at}"micros": {_json(micros, at)}\n    }}')
+    return (f'    {{\n{at}"id": {_json(c.check_id)},\n{at}"params": {params},\n'
+            f'{at}"lhs": {_json(c.lhs)},\n{at}"rhs": {_json(c.rhs)},\n'
+            f'{at}"passed": {_json(c.passed)},\n{at}"micros": {_json(micros)}\n    }}')
 
 
 def report_json(report: Report, include_timing: bool = True) -> str:
@@ -288,9 +295,9 @@ def report_json(report: Report, include_timing: bool = True) -> str:
     """
     rows = ",\n".join([_json_row(c, c.micros if include_timing else 0) for c in report.checks])
     checks = f"[\n{rows}\n  ]" if report.checks else "[]"
-    return (f'{{\n  "version": {_json(report.version, "  ")},\n'
-            f'  "range": {{\n    "gMin": {_json(report.g_min, "    ")},\n'
-            f'    "gMax": {_json(report.g_max, "    ")}\n  }},\n'
+    return (f'{{\n  "version": {_json(report.version)},\n'
+            f'  "range": {{\n    "gMin": {_json(report.g_min)},\n'
+            f'    "gMax": {_json(report.g_max)}\n  }},\n'
             f'  "checks": {checks},\n'
             f'  "summary": {{\n    "total": {report.total},\n'
             f'    "passed": {report.passed},\n    "failed": {report.failed}\n  }}\n}}\n')

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import _EXPORTS
 from .catalog import _dm, diagonal_class
-from .nsring import Ambient, NSClass, Record, _ratio, _signed_sum, format_rational
+from .nsring import Ambient, NSClass, Record, _ratio, _require_int_args, _signed_sum, format_rational
 
 __all__ = list(_EXPORTS["conelab"])
 
@@ -169,6 +169,7 @@ def known_bounds(curve: CurveClass, g: int, d: int) -> list[BoundEntry]:
     Raises for (curve, g, d) combinations the catalog says nothing about.
     """
     curve = CurveClass(curve)
+    _require_int_args("known_bounds", g=g, d=d)
     entries = _bounds(curve, g, d)
     if not entries:
         raise ValueError(f"no catalogued bound for ({curve.value}, g={g}, d={d})")

@@ -40,6 +40,7 @@ which only ever gains entries, through the atomic `dict.setdefault`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import attrgetter
 
@@ -60,6 +61,27 @@ def _ratio(value: RationalInput) -> tuple[int, int]:
     raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__}")
 
 
+def _require_int_args(function: str, **args) -> None:
+    """Refuse the first of `function`'s arguments `args` that is not an int (a bool is not one).
+
+    For builders that take ints and pass them on to no validating constructor; worded as
+    `Record._require_ints` words a field.
+    """
+    for name, value in args.items():
+        if type(value) is not int:
+            raise TypeError(f"{function} argument {name} must be an int, got {value!r}")
+
+
+@cache
+def _make_code(arity: int):
+    """The code of `Record._make` for `arity` fields, compiled once per arity (compiling is the cost)."""
+    fields = range(arity)
+    params = ", ".join(f"value{i}" for i in fields)
+    body = "".join(f"    set{i}(record, value{i})\n" for i in fields)
+    return compile(f"def _make({params}):\n    record = new(cls)\n{body}    return record\n",
+                   "<Record._make>", "exec")
+
+
 class Record:
     """Base of the immutable value types: fields held in ``__slots__``.
 
@@ -70,6 +92,13 @@ class Record:
     of the same type with equal fields, hash and print by their fields,
     refuse assignment and deletion, and pickle and copy by calling the
     constructor again.
+
+    ``cls._make(*values)`` is the private fast path: it sets one value per
+    field with no arity check and none of the subclass's validation.  It is
+    reached only from values the library has already validated (a class's
+    terms in `_of`, an ambient derived from checked ints, a check's result
+    in `checks._run`), never from a caller's input.  Pickling and copying
+    still go through the validating constructor.
     """
 
     __slots__ = ()
@@ -90,6 +119,11 @@ class Record:
         cls._values = attrgetter(*cls.__slots__)  # a plain callable: pass the record
         # Each slot's own setter: `__setattr__` below refuses every write, so `__init__` uses these.
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        # `_make` is generated per class from one template, as `dataclasses` generates `__init__`,
+        # so that it calls each setter directly: a loop over the setters costs twice as much.
+        scope = {"new": object.__new__, "cls": cls, **{f"set{i}": s for i, s in enumerate(cls._setters)}}
+        exec(_make_code(len(cls.__slots__)), scope)
+        cls._make = staticmethod(scope["_make"])
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -298,17 +332,13 @@ class NSClass(Record):
 def _of(ambient: Ambient, nums: dict, den: int) -> NSClass:
     """The class sum of nums[i, j]/den x^i theta^j, for den > 0 and keys of degree at most d.
 
-    The private constructor: drops zero numerators, shares keys through `_KEYS`, divides out the gcd.
+    The private constructor: drops zero numerators, shares keys through `_KEYS`, divides out the gcd,
+    in one pass over the terms.
     """
     shared = _KEYS.setdefault
-    clean = {shared(key, key): n for key, n in nums.items() if n}
-    common = gcd(den, *clean.values())
-    if common != 1:
-        den //= common
-        clean = {key: n // common for key, n in clean.items()}
-    cls = object.__new__(NSClass)
-    Record.__init__(cls, ambient, den, clean)
-    return cls
+    common = gcd(den, *nums.values())  # a zero numerator leaves the gcd as it is
+    terms = {shared(key, key): n // common for key, n in nums.items() if n}
+    return NSClass._make(ambient, den // common, terms)
 
 
 def format_rational(q: RationalInput) -> str:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import comb
 from importlib import resources
 
 import jsonschema
@@ -27,11 +28,22 @@ from cdcalc.cli import main
 from report_oracle import report_json as reference_report_json
 
 
+def reference_sum_theta(g):
+    """`pairing_sum_theta` as its docstring writes it, one binomial per term."""
+    return sum((-1) ** j * (j + 1) * comb(g, j + 2) * (g - 2 - j) for j in range(g - 2))
+
+
+def reference_sum_x(g):
+    """`pairing_sum_x` as its docstring writes it, one binomial per term."""
+    return sum((-1) ** j * (j + 1) * comb(g, j + 3) for j in range(g - 2))
+
+
 def test_closed_form_sums():
-    # the two alternating factorial sums collapse to g and g-2
-    for g in range(5, 41):
-        assert pairing_sum_theta(g) == g
-        assert pairing_sum_x(g) == g - 2
+    # the two alternating factorial sums collapse to g and g-2, and their running
+    # signed binomials agree with the term-by-term forms
+    for g in range(5, 301):
+        assert pairing_sum_theta(g) == reference_sum_theta(g) == g
+        assert pairing_sum_x(g) == reference_sum_x(g) == g - 2
 
 
 def test_masked_report_is_byte_identical():
@@ -53,10 +65,7 @@ def test_masked_benchmark_sweep_is_byte_identical():
 TRICKY = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "θ", "\u2028", "\U0001d703", "\ud800"]
 texts = st.lists(st.one_of(st.sampled_from(TRICKY), st.characters()), max_size=6).map("".join)
 ints = st.one_of(st.integers(-10**6, 10**6), st.integers(-10**400, 10**400))
-values = st.one_of(ints, st.booleans(), texts, st.none(), st.lists(ints, max_size=3))
-params = st.one_of(st.dictionaries(texts, values, max_size=4),
-                   st.dictionaries(st.integers(-9, 9), values, max_size=3),
-                   st.dictionaries(st.booleans(), values, max_size=2))
+params = st.dictionaries(texts, ints, max_size=4)  # the schema's domain, which CheckResult enforces
 rows = st.builds(CheckResult, texts, params, texts, texts, st.booleans(), ints)
 reports = st.builds(Report, texts, ints, ints, st.lists(rows, max_size=5))
 ROW = CheckResult("pencil-pairings", {"g": 5}, "(5, 3, 0)", "(5, 3, 1)", False, 12)
@@ -66,11 +75,18 @@ ROW = CheckResult("pencil-pairings", {"g": 5}, "(5, 3, 0)", "(5, 3, 1)", False, 
 @given(reports)
 @example(Report("0.1.0", 5, 5, []))
 @example(Report("0.1.0", 5, 6, [ROW, CheckResult("plane-quintic", {}, "1", "1", True, 3)]))
-@example(Report('v"\\\x01é', True, 10**300, [CheckResult("x", {"s": "\u2028", "b": False, "n": None},
+@example(Report('v"\\\x01é', True, 10**300, [CheckResult("x", {"s\u2028": -(10**250), "\ud800": 0},
                                                         "\ud800", "θ", True, -(10**250))]))
 def test_report_json_matches_the_reference_renderer(report):
     for include_timing in (True, False):
         assert report_json(report, include_timing) == reference_report_json(report, include_timing)
+
+
+@pytest.mark.parametrize("params", [{"g": 5.0}, {"g": True}, {"g": "5"}, {"g": None}, {5: 5},
+                                    {True: 5}, [("g", 5)], None, ()])
+def test_check_result_refuses_params_outside_the_schema(params):
+    with pytest.raises(TypeError, match=r"^CheckResult field params must map str to int, got "):
+        CheckResult("demo", params, "1", "1", True, 0)
 
 
 def test_report_json_matches_the_reference_renderer_on_a_sweep():

@@ -109,6 +109,29 @@ def test_object_setattr_only_in_record_init():
     assert stray == []
 
 
+def test_fast_constructor_only_on_validated_values():
+    """`Record._make` skips validation, so it is reached only where the values were checked already:
+    a class's numerators in `_of`, three ambients derived from checked ints, and `run_all`'s rows."""
+    sites = []
+    for name, tree in _trees():
+        enclosing, inside_record = {}, set()
+        for node in ast.walk(tree):  # breadth first, so an inner function overwrites its outer one
+            if isinstance(node, ast.FunctionDef):
+                enclosing.update(dict.fromkeys(map(id, ast.walk(node)), node.name))
+            if isinstance(node, ast.ClassDef) and node.name == "Record":
+                inside_record.update(map(id, ast.walk(node)))
+        sites += [f"{name}: {enclosing.get(id(node))}: {ast.unparse(node)}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and node.attr == "_make" and id(node) not in inside_record]
+    assert sorted(sites) == [
+        "catalog.py: _dm: Ambient._make",
+        "catalog.py: pushpull: Ambient._make",
+        "checks.py: _run: CheckResult._make",
+        "checks.py: check_pushpull_closed_form: Ambient._make",
+        "nsring.py: _of: NSClass._make",
+    ]
+
+
 def test_cli_names_no_row_of_the_class_table():
     """What sets one named class apart, such as dm's ambient, is in its row, not in a `cli` branch."""
     from cdcalc import NAMED_CLASSES

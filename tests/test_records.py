@@ -16,8 +16,15 @@ from cdcalc import (
     CurveClass,
     KernelBundleData,
     LinearSeries,
+    NSClass,
     Report,
     SystemData,
+    c1d_class,
+    check_pushpull_closed_form,
+    dm_class,
+    general_effective_cone_gm2,
+    known_bounds,
+    pushpull,
     subordinate_class,
 )
 
@@ -119,3 +126,60 @@ def test_default_constructor_is_positional_only():
 def test_integer_fields_refuse_every_other_type(record, values, field):
     with pytest.raises(TypeError, match=rf"^{record.__name__} field {field} must be an int, got "):
         record(*values)
+
+
+AMB = Ambient(8, 6)
+
+
+# Every public builder or check that takes integer arguments, with a bad value in one of them,
+# and the words its TypeError starts with.
+@pytest.mark.parametrize("call, words", [
+    (lambda bad: Ambient(bad, 4), "Ambient field g"),
+    (lambda bad: Ambient(8, bad), "Ambient field d"),
+    (lambda bad: dm_class(bad, 1), "dm_class argument g"),
+    (lambda bad: dm_class(8, bad), "dm_class argument m"),
+    (lambda bad: c1d_class(Ambient(bad, 6)), "Ambient field g"),
+    (lambda bad: c1d_class(Ambient(8, bad)), "Ambient field d"),
+    (lambda bad: pushpull(AMB.x() * AMB.theta(), bad), "pushpull argument k"),
+    (lambda bad: pushpull(AMB.zero(), bad), "pushpull argument k"),
+    (lambda bad: check_pushpull_closed_form(bad, 1), "dm_class argument g"),
+    (lambda bad: check_pushpull_closed_form(8, bad), "dm_class argument m"),
+    (lambda bad: known_bounds(CurveClass.HYPERELLIPTIC, bad, 6), "known_bounds argument g"),
+    (lambda bad: known_bounds(CurveClass.GENERAL, 8, bad), "known_bounds argument d"),
+])
+@pytest.mark.parametrize("bad", [6.0, True])
+def test_integer_arguments_refuse_floats_and_bools(call, words, bad):
+    with pytest.raises(TypeError, match=rf"^{words} must be an int, got {bad!r}$"):
+        call(bad)
+
+
+def test_cone_genus_refuses_floats_and_bools():
+    with pytest.raises(TypeError, match=r"^Ambient field g must be an int, got 6\.0$"):
+        general_effective_cone_gm2(6.0)
+    with pytest.raises(ValueError, match="needs g >= 5, got g=True"):  # its range check comes first
+        general_effective_cone_gm2(True)
+
+
+@pytest.mark.parametrize("g, d", [(2, 1), (6, 4), (8, 7), (3, 5), (10**30, 10**20)])
+def test_fast_ambient_is_the_checked_ambient(g, d):
+    fast, checked = Ambient._make(g, d), Ambient(g, d)
+    assert type(fast) is Ambient
+    assert fast == checked and hash(fast) == hash(checked) and repr(fast) == repr(checked)
+
+
+def test_fast_built_class_clones_through_the_validating_constructor(monkeypatch):
+    # pushpull builds its result by `_of` on an ambient built by `Ambient._make`
+    value = pushpull(c1d_class(Ambient(8, 7)), 3)
+    assert value.ambient == Ambient(8, 4)
+    built = []
+    for cls in (NSClass, Ambient):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built.append(_name)
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    for clone, names in [(lambda v: pickle.loads(pickle.dumps(v)), ["Ambient", "NSClass"]),
+                         (copy.copy, ["NSClass"]), (copy.deepcopy, ["Ambient", "NSClass"])]:
+        built.clear()
+        twin = clone(value)
+        assert sorted(built) == names
+        assert twin == value and hash(twin) == hash(value) and twin.ambient == value.ambient
