@@ -23,7 +23,7 @@ so e.g. binom(-2, j) = (-1)^j (j+1).
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from . import _EXPORTS
 from .nsring import Ambient, NSClass, Record, _of, _require_int_args, _top_weights, canonical_class
@@ -155,6 +155,18 @@ def pushpull(c: NSClass, k: int) -> NSClass:
     since otherwise one of the first two binomials vanishes.  k = 0 is the
     identity.
 
+    That formula is the reference; the loop computes the same weights
+    differently.  binom(g-b+j, j) j! is the rising product
+    (g-b+1) ... (g-b+j), so with i = a-k+j the weight w(j) of a term obeys
+
+        w(j+1) = w(j) (k-j) (b-j) (g-b+j+1) / ((i+1) (j+1)),
+
+    an exact division with i >= 0.  Each term builds its first weight once,
+    through `math.perm` when b <= g (the rising product is then
+    (g-b+j)!/(g-b)!) and through `binom` only when b > g, where the upper
+    argument can be negative, and steps from there.  Once a rising product
+    reaches zero every later weight of the term is zero too.
+
     The class's numerators are pushed over its own denominator, so each
     contribution is one integer product added into an int per output
     monomial, and no Fraction is built.
@@ -169,10 +181,20 @@ def pushpull(c: NSClass, k: int) -> NSClass:
     g = amb.g
     out: dict[tuple[int, int], int] = {}
     for (a, b), n in c._terms.items():
-        for j in range(max(0, k - a), min(k, b) + 1):
-            weight = comb(a, k - j) * comb(b, j) * binom(g - b + j, j) * factorial(j)
-            key = (a - k + j, b - j)
-            out[key] = out.get(key, 0) + n * weight
+        j, last = max(0, k - a), min(k, b)
+        if j > last:
+            continue
+        rising = perm(g - b + j, j) if b <= g else binom(g - b + j, j) * factorial(j)
+        weight = n * comb(a, k - j) * comb(b, j) * rising
+        i = a - k + j
+        while weight:
+            key = (i, b - j)
+            out[key] = out.get(key, 0) + weight
+            if j == last:
+                break
+            i += 1
+            j += 1
+            weight = weight * (k - j + 1) * (b - j + 1) * (g - b + j) // (i * j)
     return _of(target, out, c.den)
 
 

@@ -7,9 +7,10 @@ dimension bookkeeping) — and passes only on exact rational agreement.
 Each `check_*` returns `(lhs, rhs, passed)` with both sides exact, and
 `run_all` times and renders them; a failure never aborts a run.
 
-Report ordering is fixed (sorted by check id, then parameters) no matter
-how the checks are scheduled, and the JSON rendering is byte-deterministic
-once per-check timings are masked.  `report_json` fills a fixed template
+Report ordering is fixed: rows are sorted by check id, and a stable sort
+keeps each id's rows in the order `run_all` plans them, which ascends in the
+parameters (g, then m).  The JSON rendering is byte-deterministic once
+per-check timings are masked.  `report_json` fills a fixed template
 with each field's JSON text (strings through the C escaper `json` itself
 uses, ints through `str`) and writes exactly what `json.dumps(payload,
 indent=2)` would, without `json.dumps`'s pure-Python encoder, which it runs
@@ -24,6 +25,7 @@ import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import comb
+from operator import attrgetter
 
 from . import _EXPORTS, __version__
 from .catalog import (
@@ -40,30 +42,47 @@ from .catalog import (
     system_c1,
     twisted_kernel_class,
 )
-from .nsring import Ambient, NSClass, Record, format_class, format_rational, pair
+from .nsring import Ambient, NSClass, Record, _require_int_args, format_class, format_rational, pair
 
 __all__ = list(_EXPORTS["checks"])
 
 
 class CheckResult(Record):
-    """One row of a report; `params` maps str to int, the domain `report.schema.json` allows."""
+    """One row of a report; `params` maps str to int, `passed` is a bool and `micros` an int >= 0,
+    the domain `report.schema.json` allows.  `checks._run` builds its rows unchecked."""
 
     __slots__ = ("check_id", "params", "lhs", "rhs", "passed", "micros")
 
     def __init__(self, *values):
         super().__init__(*values)
-        params = self.params
+        params, passed, micros = self.params, self.passed, self.micros
         if type(params) is not dict or not all(type(key) is str and type(value) is int
                                                 for key, value in params.items()):
             raise TypeError(f"CheckResult field params must map str to int, got {params!r}")
+        if type(passed) is not bool:
+            raise TypeError(f"CheckResult field passed must be a bool, got {passed!r}")
+        if type(micros) is not int:
+            raise TypeError(f"CheckResult field micros must be an int, got {micros!r}")
+        if micros < 0:
+            raise ValueError(f"CheckResult field micros must be nonnegative, got {micros}")
 
 
 class Report(Record):
+    """A verification run: the package version, the genus range and the rows, in report order."""
+
     __slots__ = ("version", "g_min", "g_max", "checks")
 
     def __init__(self, version: str, g_min: int, g_max: int,
                  checks: list[CheckResult] | None = None):
-        super().__init__(version, g_min, g_max, [] if checks is None else checks)
+        checks = [] if checks is None else checks
+        if type(version) is not str:
+            raise TypeError(f"Report field version must be a str, got {version!r}")
+        for name, value in (("g_min", g_min), ("g_max", g_max)):
+            if type(value) is not int:
+                raise TypeError(f"Report field {name} must be an int, got {value!r}")
+        if type(checks) is not list or not all(type(c) is CheckResult for c in checks):
+            raise TypeError(f"Report field checks must be a list of CheckResult, got {checks!r}")
+        super().__init__(version, g_min, g_max, checks)
 
     @property
     def total(self) -> int:
@@ -244,6 +263,7 @@ def run_all(g_min: int, g_max: int) -> Report:
     plane-quintic check runs once.  Deterministic given the range, apart from
     the per-check times, which exclude rendering.
     """
+    _require_int_args("run_all", g_min=g_min, g_max=g_max)
     if not 5 <= g_min <= g_max:
         raise ValueError(f"invalid genus range: need 5 <= gMin <= gMax, got [{g_min}, {g_max}]")
 
@@ -258,7 +278,7 @@ def run_all(g_min: int, g_max: int) -> Report:
         yield "plane-quintic", check_plane_quintic, {}
 
     results = [_run(*row) for row in plan()]
-    results.sort(key=lambda c: (c.check_id, tuple(sorted(c.params.items()))))
+    results.sort(key=attrgetter("check_id"))  # stable: each id's rows stay in plan order
     return Report(__version__, g_min, g_max, results)
 
 

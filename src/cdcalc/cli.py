@@ -53,14 +53,17 @@ def integer(text: str) -> int:
 # tabs may follow every token.  Factors in another order or number are read
 # one at a time by _FACTOR after the term's match.  No two blank runs may
 # meet: on a failed match the engine would try every split of the blanks
-# between them, quadratic in their length.
+# between them, quadratic in their length.  Each optional group is written
+# `(?:X|)`, not `(?:X)?`: the same language, tried in the same order, which
+# `re` runs as a branch instead of a repeat that saves its marks, about a
+# third faster.  Possessive forms would be faster still, but need 3.11.
 _TERM = re.compile(
-    r"[ \t]*(?:([+-])[ \t]*)?([0-9]+)[ \t]*"
-    r"(?:/[ \t]*([0-9]+)[ \t]*)?"
-    r"(?:\*[ \t]*(x)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*)?)?"
-    r"(?:\*[ \t]*(theta)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*)?)?"
+    r"[ \t]*(?:([+-])[ \t]*|)([0-9]+)[ \t]*"
+    r"(?:/[ \t]*([0-9]+)[ \t]*|)"
+    r"(?:\*[ \t]*(x)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*|)|)"
+    r"(?:\*[ \t]*(theta)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*|)|)"
 )
-_FACTOR = re.compile(r"\*[ \t]*(x|theta)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*)?")
+_FACTOR = re.compile(r"\*[ \t]*(x|theta)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*|)")
 _BLANKS = re.compile(r"[ \t]*")
 # Its match ends at the first character outside the alphabet: ASCII only, so
 # every error position is also a byte offset.

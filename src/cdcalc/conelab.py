@@ -41,8 +41,8 @@ class ConeRay(Record):
         super().__init__(Fraction(p, scale), Fraction(q, scale))
 
     def __str__(self) -> str:
-        terms = ((self.theta, "theta"), (self.x, "x"))
-        return _signed_sum((format_rational(value), name) for value, name in terms if value)
+        terms = ((self.theta, "*theta"), (self.x, "*x"))
+        return _signed_sum((format_rational(value), monomial) for value, monomial in terms if value)
 
 
 def _direction(ray: ConeRay) -> tuple[int, int]:
@@ -102,6 +102,7 @@ def general_effective_cone_gm2(g: int) -> Cone2D:
     subordinate to a pencil of degree g-1, which is what pins it as a boundary.
     That ray is read off D_1 built without its binomial, which only scales it.
     """
+    _require_int_args("general_effective_cone_gm2", g=g)
     if g < 5:
         raise ValueError(f"general-curve cone description needs g >= 5, got g={g}")
     diagonal = ray_from_class(diagonal_class(Ambient(g, g - 2)))
@@ -178,6 +179,7 @@ def known_bounds(curve: CurveClass, g: int, d: int) -> list[BoundEntry]:
 
 def full_catalog(g_min: int, g_max: int) -> list[BoundEntry]:
     """Every catalogued entry with genus in [g_min, g_max], deterministically ordered."""
+    _require_int_args("full_catalog", g_min=g_min, g_max=g_max)
     if g_min > g_max:
         raise ValueError(f"empty genus range [{g_min}, {g_max}]")
     entries = [entry for curve in CurveClass for g in range(g_min, g_max + 1)

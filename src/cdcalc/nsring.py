@@ -33,8 +33,9 @@ for any curve, not only those whose Neron-Severi space the two classes span.
 
 Everything here is immutable after construction and all operations are pure
 functions, so values can be shared freely between concurrent workers.  The
-one piece of module state is the table of monomial keys (see `NSClass`),
-which only ever gains entries, through the atomic `dict.setdefault`.
+two pieces of module state are the table of monomial keys (see `NSClass`)
+and the print table (see `format_class`), keyed by the same stored keys;
+both only ever gain entries, through the atomic `dict.setdefault`.
 """
 
 from __future__ import annotations
@@ -187,6 +188,8 @@ class Ambient(Record):
 
 # The shared monomial keys: (i, j) -> the one (i, j) tuple every class stores.
 _KEYS: dict[tuple[int, int], tuple[int, int]] = {}
+# The print table: (i, j) -> (print order, "*x^i*theta^j" text), filled by `_print_row`.
+_PRINTED: dict[tuple[int, int], tuple[int, str]] = {}
 
 
 class NSClass(Record):
@@ -346,25 +349,25 @@ def format_rational(q: RationalInput) -> str:
     return _lowest_terms(*_ratio(q))
 
 
-def _format_monomial(i: int, j: int) -> str:
-    parts = []
-    if i:
-        parts.append("x" if i == 1 else f"x^{i}")
-    if j:
-        parts.append("theta" if j == 1 else f"theta^{j}")
-    return "*".join(parts)
+def _print_row(key: tuple[int, int]) -> tuple[int, str]:
+    """The print table's row for a key, stored the first time the key is printed.
+
+    The order i - D(D+3)/2, D = i + j, is the position of x^i theta^j when
+    terms run by total degree descending, then x-exponent ascending, as one
+    int per key.
+    """
+    i, j = key
+    text = ("*x" if i == 1 else f"*x^{i}" if i else "") + ("*theta" if j == 1 else f"*theta^{j}" if j else "")
+    return _PRINTED.setdefault(key, (i - (i + j) * (i + j + 3) // 2, text))
 
 
 def _signed_sum(terms) -> str:
-    """Join (nonzero coefficient text, monomial) pairs as "c1*m1 - c2*m2 + c3", or "0" if none.
+    """Join (nonzero coefficient text, monomial text such as "*x^2") pairs as "c1*m1 - c2*m2 + c3", or "0".
 
     The one place a signed sum's text is decided, for classes and cone rays alike.
     """
-    pieces = []
-    for text, monomial in terms:
-        pieces.append(" - " + text[1:] if text[0] == "-" else " + " + text)
-        if monomial:
-            pieces.append("*" + monomial)
+    pieces = [f" - {text[1:]}{monomial}" if text[0] == "-" else f" + {text}{monomial}"
+              for text, monomial in terms]
     if not pieces:
         return "0"
     head = pieces[0]
@@ -378,10 +381,14 @@ def format_class(c: NSClass) -> str:
     Terms are ordered by total degree descending, then by x-exponent
     ascending; coefficients are always written explicitly, e.g.
     "1/6*theta^3 - 1*x*theta^2 + 3*x^2*theta - 4*x^3".
+
+    Each key's order and monomial text come from the print table
+    `_PRINTED`, filled the first time the key is printed.  Only stored keys
+    are printed, so it is bounded as `_KEYS` is.
     """
-    terms, den = c._terms, c.den
-    keys = sorted(terms, key=lambda key: (-(key[0] + key[1]), key[0]))
-    return _signed_sum((_lowest_terms(terms[key], den), _format_monomial(*key)) for key in keys)
+    terms, den, row = c._terms, c.den, _PRINTED.get
+    rows = sorted([(row(key) or _print_row(key)) + (n,) for key, n in terms.items()])
+    return _signed_sum([(_lowest_terms(n, den), text) for _order, text, n in rows])
 
 
 def _lowest_terms(n: int, den: int) -> str:

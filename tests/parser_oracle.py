@@ -5,16 +5,29 @@ This is the character-loop tokenizer and token-index parser that
 word so the scanner can be compared with it: on any string, both must return
 equal classes, or raise the same `ClassSyntaxError` message at the same byte
 offset.  It lives only in the tests; the package has one parser.
+
+`TERM` and `FACTOR` are the scanner's patterns as first written, with each
+optional group as `(?:X)?`; the package writes them `(?:X|)`, and the two
+forms must match alike.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from cdcalc.cli import ClassSyntaxError
 from cdcalc.nsring import Ambient, NSClass
 
 _DIGITS = frozenset("0123456789")
+
+TERM = re.compile(
+    r"[ \t]*(?:([+-])[ \t]*)?([0-9]+)[ \t]*"
+    r"(?:/[ \t]*([0-9]+)[ \t]*)?"
+    r"(?:\*[ \t]*(x)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*)?)?"
+    r"(?:\*[ \t]*(theta)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*)?)?"
+)
+FACTOR = re.compile(r"\*[ \t]*(x|theta)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*)?")
 
 
 def _tokenize(expr: str) -> list[tuple[str, object, int]]:

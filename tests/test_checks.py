@@ -65,8 +65,9 @@ def test_masked_benchmark_sweep_is_byte_identical():
 TRICKY = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "θ", "\u2028", "\U0001d703", "\ud800"]
 texts = st.lists(st.one_of(st.sampled_from(TRICKY), st.characters()), max_size=6).map("".join)
 ints = st.one_of(st.integers(-10**6, 10**6), st.integers(-10**400, 10**400))
+naturals = st.one_of(st.integers(0, 10**6), st.integers(0, 10**400))
 params = st.dictionaries(texts, ints, max_size=4)  # the schema's domain, which CheckResult enforces
-rows = st.builds(CheckResult, texts, params, texts, texts, st.booleans(), ints)
+rows = st.builds(CheckResult, texts, params, texts, texts, st.booleans(), naturals)
 reports = st.builds(Report, texts, ints, ints, st.lists(rows, max_size=5))
 ROW = CheckResult("pencil-pairings", {"g": 5}, "(5, 3, 0)", "(5, 3, 1)", False, 12)
 
@@ -75,8 +76,8 @@ ROW = CheckResult("pencil-pairings", {"g": 5}, "(5, 3, 0)", "(5, 3, 1)", False, 
 @given(reports)
 @example(Report("0.1.0", 5, 5, []))
 @example(Report("0.1.0", 5, 6, [ROW, CheckResult("plane-quintic", {}, "1", "1", True, 3)]))
-@example(Report('v"\\\x01é', True, 10**300, [CheckResult("x", {"s\u2028": -(10**250), "\ud800": 0},
-                                                        "\ud800", "θ", True, -(10**250))]))
+@example(Report('v"\\\x01é', -7, 10**300, [CheckResult("x", {"s\u2028": -(10**250), "\ud800": 0},
+                                                      "\ud800", "θ", True, 10**250)]))
 def test_report_json_matches_the_reference_renderer(report):
     for include_timing in (True, False):
         assert report_json(report, include_timing) == reference_report_json(report, include_timing)

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cdcalc import NAMED_CLASSES, Ambient, CurveClass, NSClass, format_class
-from cdcalc.cli import ClassSyntaxError, main, parse_class
-from parser_oracle import parse_class as reference_parse_class
+from cdcalc.cli import _FACTOR, _TERM, ClassSyntaxError, main, parse_class
+from parser_oracle import FACTOR, TERM, parse_class as reference_parse_class
 
 # |g| <= 14 keeps verify sweeps and named-class builders quick; mostly positive, so some calls succeed.
 small_ints = st.one_of(st.integers(1, 14), st.integers(-14, 14)).map(str)
@@ -227,6 +227,19 @@ def spliced(draw):
 def test_parse_class_agrees_with_the_reference_parser(text, g, d):
     amb = Ambient(g, d)
     assert outcome(parse_class, text, amb) == outcome(reference_parse_class, text, amb)
+
+
+def matches(pattern, text):
+    """`pattern`'s groups and end at every offset of `text`, None where it does not match."""
+    found = [pattern.match(text, at) for at in range(len(text) + 1)]
+    return [m and (m.groups(), m.end()) for m in found]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(grammar_text, canonical_with_blanks(), loose_sums(), prefixes(), spliced()))
+def test_term_patterns_match_as_their_optional_group_forms(text):
+    assert matches(_TERM, text) == matches(TERM, text)
+    assert matches(_FACTOR, text) == matches(FACTOR, text)
 
 
 # With Python's int-string limit in force, a digit run past it raises the

@@ -1,5 +1,8 @@
+import os
+import pathlib
 import pickle
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -339,5 +342,53 @@ def test_threads_racing_on_new_keys_agree_on_one_tuple(monkeypatch):
             assert len(built) == workers and len(nsring._KEYS) == count
             for cls in built:
                 assert all(nsring._KEYS[key] is key for key in cls._terms)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_print_table_is_bounded_by_the_largest_degree(monkeypatch):
+    monkeypatch.setattr(nsring, "_PRINTED", {})
+    top = 12
+    amb = Ambient(40, top)
+    dense = NSClass(amb, {(i, j): i + j + 1 for i in range(top + 1) for j in range(top + 1 - i)})
+    for cls in (dense, dense * dense, dense ** 3, -dense, dense.homogeneous_part(7),
+                NSClass(amb, {(top + 1, 0): 1, (0, top + 5): 2, (0, 0): 3})):  # above degree d: never printed
+        format_class(cls)
+    assert len(nsring._PRINTED) == (top + 1) * (top + 2) // 2
+
+
+def test_print_table_starts_empty():
+    probe = "import cdcalc.cli, cdcalc.conelab, cdcalc.nsring as n; print(len(n._PRINTED))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(pathlib.Path(nsring.__file__).parents[1])})
+    assert out.stdout == "0\n"
+
+
+def test_threads_racing_on_new_print_rows_write_alike(monkeypatch):
+    amb = Ambient(40, 30)
+    dense = NSClass(amb, {(i, j): Fraction(i - j, 1 + i % 4) for i in range(31) for j in range(31 - i)})
+    monkeypatch.setattr(nsring, "_PRINTED", {})
+    expected = format_class(dense)
+    rows = dict(nsring._PRINTED)
+    workers = 8
+
+    def work(start, out):
+        start.wait(timeout=30)
+        out.append(format_class(dense))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):  # each round races on a fresh table
+            monkeypatch.setattr(nsring, "_PRINTED", {})
+            start, printed = threading.Barrier(workers), []
+            threads = [threading.Thread(target=work, args=(start, printed)) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert printed == [expected] * workers
+            assert nsring._PRINTED == rows
     finally:
         sys.setswitchinterval(interval)

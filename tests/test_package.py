@@ -205,3 +205,22 @@ def test_printers_write_no_fraction_through_str(monkeypatch):
     with redirect_stdout(out):
         code = main(["cone", "--curve", "general", "--g", "6", "--d", "4", "--format", "json"])
     assert code == 0 and '"-3/2"' in out.getvalue()
+
+
+def test_patterns_use_no_syntax_newer_than_python_3_10():
+    """Possessive quantifiers and atomic groups arrived in 3.11's `re`; the package supports 3.10."""
+    patterns = []
+    for name, tree in _trees():
+        patterns += [(name, node.args[0].value) for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and getattr(node.func.value, "id", None) == "re" and node.args
+                     and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)]
+    from cdcalc import cli
+
+    assert ("cli.py", cli._TERM.pattern) in patterns
+    newer = []
+    for name, pattern in patterns:
+        atoms = re.sub(r"\[(?:\\.|[^\]\\])*\]", "a", re.sub(r"\\.", "a", pattern))  # escapes, sets: one atom
+        newer += [f"{name}: {pattern!r}: {syntax}" for syntax in ("*+", "++", "?+", "}+", "(?>")
+                  if syntax in atoms]
+    assert newer == []

@@ -157,6 +157,18 @@ def test_pushpull_matches_the_term_by_term_oracle(case):
     assert 0 not in result.terms().values()
 
 
+@pytest.mark.parametrize("g", range(2, 10))
+def test_pushpull_matches_the_oracle_on_dense_classes_above_the_genus(g):
+    # On C_d with d > g, monomials theta^b with b > g make g-b negative, and rising products
+    # (g-b+1) ... (g-b+j) that pass through zero cut a term's weights off: every k, every monomial.
+    for d in range(g + 1, g + 5):
+        amb = Ambient(g, d)
+        dense = NSClass(amb, {(i, j): Fraction((-1) ** j * (3 * i + 5 * j + 1), 1 + (i + 2 * j) % 7)
+                              for i in range(d + 1) for j in range(d + 1 - i)})
+        for k in range(d):
+            assert pushpull(dense, k) == _pushpull_oracle(dense, k), (g, d, k)
+
+
 @st.composite
 def cancelling_cases(draw):
     amb = draw(ambients(allow_excess=True).filter(lambda amb: amb.d >= 2))

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,9 +23,11 @@ from cdcalc import (
     c1d_class,
     check_pushpull_closed_form,
     dm_class,
+    full_catalog,
     general_effective_cone_gm2,
     known_bounds,
     pushpull,
+    run_all,
     subordinate_class,
 )
 
@@ -146,6 +149,10 @@ AMB = Ambient(8, 6)
     (lambda bad: check_pushpull_closed_form(8, bad), "dm_class argument m"),
     (lambda bad: known_bounds(CurveClass.HYPERELLIPTIC, bad, 6), "known_bounds argument g"),
     (lambda bad: known_bounds(CurveClass.GENERAL, 8, bad), "known_bounds argument d"),
+    (lambda bad: full_catalog(bad, 8), "full_catalog argument g_min"),
+    (lambda bad: full_catalog(6, bad), "full_catalog argument g_max"),
+    (lambda bad: run_all(bad, 6), "run_all argument g_min"),
+    (lambda bad: run_all(5, bad), "run_all argument g_max"),
 ])
 @pytest.mark.parametrize("bad", [6.0, True])
 def test_integer_arguments_refuse_floats_and_bools(call, words, bad):
@@ -154,10 +161,33 @@ def test_integer_arguments_refuse_floats_and_bools(call, words, bad):
 
 
 def test_cone_genus_refuses_floats_and_bools():
-    with pytest.raises(TypeError, match=r"^Ambient field g must be an int, got 6\.0$"):
-        general_effective_cone_gm2(6.0)
-    with pytest.raises(ValueError, match="needs g >= 5, got g=True"):  # its range check comes first
-        general_effective_cone_gm2(True)
+    # named as the argument, before the range check reads True as 1 or a float reaches Ambient
+    for bad in (6.0, True):
+        words = f"general_effective_cone_gm2 argument g must be an int, got {bad!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(words)}$"):
+            general_effective_cone_gm2(bad)
+
+
+@pytest.mark.parametrize("values, words", [
+    ((1, 5, 6), "Report field version must be a str, got 1"),
+    (("0.1.0", 5.0, 6), "Report field g_min must be an int, got 5.0"),
+    (("0.1.0", 5, True), "Report field g_max must be an int, got True"),
+    (("0.1.0", 5, 6, (CHECK,)), "Report field checks must be a list of CheckResult, got "),
+    (("0.1.0", 5, 6, [CHECK, {"id": "demo"}]), "Report field checks must be a list of CheckResult, got "),
+    (("demo", {}, "1", "1", 1, 0), "CheckResult field passed must be a bool, got 1"),
+    (("demo", {}, "1", "1", None, 0), "CheckResult field passed must be a bool, got None"),
+    (("demo", {}, "1", "1", True, 7.0), "CheckResult field micros must be an int, got 7.0"),
+    (("demo", {}, "1", "1", True, False), "CheckResult field micros must be an int, got False"),
+])
+def test_report_records_refuse_fields_outside_the_schema(values, words):
+    record = Report if len(values) < 6 else CheckResult
+    with pytest.raises(TypeError, match="^" + re.escape(words)):
+        record(*values)
+
+
+def test_check_result_refuses_negative_micros():
+    with pytest.raises(ValueError, match=r"^CheckResult field micros must be nonnegative, got -1$"):
+        CheckResult("demo", {}, "1", "1", True, -1)
 
 
 @pytest.mark.parametrize("g, d", [(2, 1), (6, 4), (8, 7), (3, 5), (10**30, 10**20)])
