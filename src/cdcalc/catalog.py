@@ -205,21 +205,14 @@ def dm_class(g: int, m: int) -> NSClass:
 
         binom(g, m) * ((g-2m)/g * theta - x),
 
-    a divisor class; requires 1 <= m <= g/2 - 1.
-    """
-    return _dm(g, m, scaled=True)
-
-
-def _dm(g: int, m: int, scaled: bool) -> NSClass:
-    """(g-2m)/g * theta - x on C_{g-2m}, times binom(g, m) when scaled: D_m, or its ray.
-
-    The types and the range are checked first, so an m out of range builds no binomial,
-    and they make C_{g-2m} a valid ambient: g >= 2m + 2 >= 4.
+    a divisor class; requires 1 <= m <= g/2 - 1.  The types and the range
+    are checked first, so an m out of range builds no binomial, and they make
+    C_{g-2m} a valid ambient: g >= 2m + 2 >= 4, so binom(g, m) is comb(g, m).
     """
     _require_int_args("dm_class", g=g, m=m)
     if m < 1 or 2 * m > g - 2:
         raise ValueError(f"m out of range: need 1 <= m <= g/2 - 1, got g={g}, m={m}")
-    scale = binom(g, m) if scaled else 1
+    scale = comb(g, m)
     return _of(Ambient._make(g, g - 2 * m), {(0, 1): scale * (g - 2 * m), (1, 0): -scale * g}, g)
 
 
@@ -246,6 +239,7 @@ def chern_character(amb: Ambient, rank: int, degree: int, max_degree: int) -> NS
 
     with ring arithmetic, for a rank-r degree-f system with dim V = r*d.
     """
+    _require_int_args("chern_character", rank=rank, degree=degree, max_degree=max_degree)
     if rank < 1:
         raise ValueError(f"system rank must be positive, got {rank}")
     if not 0 <= max_degree <= amb.d:
@@ -287,6 +281,7 @@ def twisted_kernel_class(g: int, data: KernelBundleData, h1: int) -> NSClass:
     be rank * d for a positive integer d — that d fixes the symmetric power
     the class lives on.
     """
+    _require_int_args("twisted_kernel_class", g=g, h1=h1)
     if h1 < 0:
         raise ValueError(f"h^1 must be nonnegative, got {h1}")
     rank = data.kernel_rank
@@ -304,6 +299,7 @@ def twisted_kernel_class(g: int, data: KernelBundleData, h1: int) -> NSClass:
 
 def brill_noether_rho(g: int, r: int, d: int) -> int:
     """The Brill-Noether number g - (r+1)(g - d + r)."""
+    _require_int_args("brill_noether_rho", g=g, r=r, d=d)
     return g - (r + 1) * (g - d + r)
 
 
@@ -318,6 +314,7 @@ def mult_degeneracy_class(g: int, d: int, r: int) -> NSClass:
 
     Both sides are computed; the simplification is verified, not assumed.
     """
+    _require_int_args("mult_degeneracy_class", g=g, d=d, r=r)
     if not 2 <= d <= g - 1:
         raise ValueError(f"need 2 <= d <= g-1, got g={g}, d={d}")
     if r < 1 or r * (g - d) < d:

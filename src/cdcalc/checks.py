@@ -49,7 +49,8 @@ __all__ = list(_EXPORTS["checks"])
 
 class CheckResult(Record):
     """One row of a report; `params` maps str to int, `passed` is a bool and `micros` an int >= 0,
-    the domain `report.schema.json` allows.  `checks._run` builds its rows unchecked."""
+    the domain `report.schema.json` allows.  The row keeps its own copy of `params`, so a later
+    change to the caller's dict leaves it as checked.  `checks._run` builds its rows unchecked."""
 
     __slots__ = ("check_id", "params", "lhs", "rhs", "passed", "micros")
 
@@ -65,6 +66,7 @@ class CheckResult(Record):
             raise TypeError(f"CheckResult field micros must be an int, got {micros!r}")
         if micros < 0:
             raise ValueError(f"CheckResult field micros must be nonnegative, got {micros}")
+        super().__init__(values[0], dict(params), *values[2:])  # keep a copy of the checked params
 
 
 class Report(Record):
@@ -80,7 +82,7 @@ class Report(Record):
         for name, value in (("g_min", g_min), ("g_max", g_max)):
             if type(value) is not int:
                 raise TypeError(f"Report field {name} must be an int, got {value!r}")
-        if type(checks) is not list or not all(type(c) is CheckResult for c in checks):
+        if type(checks) is not list or not set(map(type, checks)) <= {CheckResult}:
             raise TypeError(f"Report field checks must be a list of CheckResult, got {checks!r}")
         super().__init__(version, g_min, g_max, checks)
 
@@ -90,23 +92,20 @@ class Report(Record):
 
     @property
     def passed(self) -> int:
-        return sum(1 for c in self.checks if c.passed)
+        return sum(map(attrgetter("passed"), self.checks))  # each row's `passed` is a bool
 
     @property
     def failed(self) -> int:
-        return sum(1 for c in self.checks if not c.passed)
+        return len(self.checks) - self.passed
 
 
-def _atom(value) -> str:
+def _render(value) -> str:
+    """One side of a check as text: a class, a scalar, or a tuple or list of them in parentheses."""
     if isinstance(value, NSClass):
         return format_class(value)
+    if isinstance(value, (tuple, list)):
+        return "(" + ", ".join(map(_render, value)) + ")"
     return format_rational(value)
-
-
-def _render(parts) -> str:
-    if isinstance(parts, (tuple, list)):
-        return "(" + ", ".join(_atom(p) for p in parts) + ")"
-    return _atom(parts)
 
 
 # -- closed-form oracles ------------------------------------------------------
@@ -293,16 +292,20 @@ def _json(value) -> str:
     raise TypeError(f"a report field must be a str, an int or a bool, got {value!r}")
 
 
-def _json_row(c: CheckResult, micros) -> str:
-    at = "      "
-    if c.params:
-        params = ",\n".join([f"{at}  {_json(k)}: {_json(c.params[k])}" for k in sorted(c.params)])
-        params = f"{{\n{params}\n{at}}}"
+def _json_row(c: CheckResult, micros: int) -> str:
+    # `CheckResult` holds `params` mapping str to int, a bool `passed` and an int `micros`, so those
+    # are written directly; the other fields go through `_json`, which refuses what is not JSON.
+    at, params = "      ", c.params
+    if params:
+        lines = []
+        for key in sorted(params):
+            lines.append(f"{at}  {encode_basestring_ascii(key)}: {params[key]}")
+        params = "{\n" + ",\n".join(lines) + f"\n{at}}}"
     else:
         params = "{}"
     return (f'    {{\n{at}"id": {_json(c.check_id)},\n{at}"params": {params},\n'
             f'{at}"lhs": {_json(c.lhs)},\n{at}"rhs": {_json(c.rhs)},\n'
-            f'{at}"passed": {_json(c.passed)},\n{at}"micros": {_json(micros)}\n    }}')
+            f'{at}"passed": {"true" if c.passed else "false"},\n{at}"micros": {micros}\n    }}')
 
 
 def report_json(report: Report, include_timing: bool = True) -> str:

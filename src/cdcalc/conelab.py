@@ -17,8 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import _EXPORTS
-from .catalog import _dm, diagonal_class
-from .nsring import Ambient, NSClass, Record, _ratio, _require_int_args, _signed_sum, format_rational
+from .nsring import NSClass, Record, _ratio, _require_int_args, _signed_sum, format_rational
 
 __all__ = list(_EXPORTS["conelab"])
 
@@ -97,16 +96,17 @@ def contains(cone: Cone2D, query: NSClass | ConeRay) -> bool:
 def general_effective_cone_gm2(g: int) -> Cone2D:
     """Effective cone of C_{g-2} for a general curve of genus g >= 5.
 
-    Spanned by the diagonal and by the ray of D_1 = dm_class(g, 1), which is
-    theta - (g/(g-2))*x; it pairs to exactly zero against the curve of divisors
-    subordinate to a pencil of degree g-1, which is what pins it as a boundary.
-    That ray is read off D_1 built without its binomial, which only scales it.
+    Spanned by the diagonal, 2((2g-3)x - theta) on C_{g-2}, and by the ray of
+    D_1 = dm_class(g, 1), which is theta - (g/(g-2))*x; D_1 pairs to exactly
+    zero against the curve of divisors subordinate to a pencil of degree g-1,
+    which is what pins it as a boundary.  Both rays are built from their
+    integer directions (-1, 2g-3) and (g-2, -g), without building either
+    class; a test checks them against the rays of the two classes.
     """
     _require_int_args("general_effective_cone_gm2", g=g)
     if g < 5:
         raise ValueError(f"general-curve cone description needs g >= 5, got g={g}")
-    diagonal = ray_from_class(diagonal_class(Ambient(g, g - 2)))
-    return Cone2D(diagonal, ray_from_class(_dm(g, 1, scaled=False)))
+    return Cone2D(ConeRay(-1, 2 * g - 3), ConeRay(g - 2, -g))
 
 
 class CurveClass(str, Enum):
@@ -155,9 +155,8 @@ def _bounds(curve: CurveClass, g: int, d: int) -> list[BoundEntry]:
         t, source = _SPECIAL_RAYS[curve, g - d]
         return [BoundEntry(curve, g, d, ConeRay(1, -t), BoundStatus.PROVED_BOUNDARY, source)]
     if curve is CurveClass.GENERAL and g >= 5 and (g - d) % 2 == 0:
-        status, source = _GENERAL_RAYS[min((g - d) // 2, 3)]
-        ray = ray_from_class(_dm(g, (g - d) // 2, scaled=False))
-        return [BoundEntry(curve, g, d, ray, status, source)]
+        status, source = _GENERAL_RAYS[min((g - d) // 2, 3)]  # the ray of D_m = (d/g)theta - x
+        return [BoundEntry(curve, g, d, ConeRay(d, -g), status, source)]
     if curve is CurveClass.PLANE_QUINTIC and (g, d) == (6, 4):
         return [BoundEntry(curve, g, d, ConeRay(1, -2), BoundStatus.EXCLUSION,
                            "excluded direction: no effective divisor on C_4 is proportional to it")]

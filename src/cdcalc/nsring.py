@@ -27,6 +27,13 @@ exact value, so Fractions are built only at the edges: `terms()`,
 `coefficient()`, pickling, the reciprocal in `/` and the scalars `eval_top`
 and `pair` return.
 
+The class-building path (`_of`, `NSClass`, `format_class`, `eval_top`,
+`pair`) fills its maps and lists with plain loops, not comprehensions.  On
+Python 3.10 and 3.11 a comprehension is a nested function, created and
+called each time it runs, and for the two-term classes of the verification
+sweep that call costs more than the loop it replaces.  Python 3.12 inlines
+comprehensions (PEP 709), where the loops cost about the same.
+
 Equality of classes is formal (coefficient-wise): no relations among the
 monomials x^i theta^j below top degree are imposed, so the ring is valid
 for any curve, not only those whose Neron-Severi space the two classes span.
@@ -210,7 +217,7 @@ class NSClass(Record):
     __slots__ = ("ambient", "den", "_terms")
 
     def __init__(self, ambient: Ambient, terms=None):
-        read, shared = [], _KEYS.setdefault  # (key, numerator, denominator) of each nonzero term
+        read, dens, shared = [], [], _KEYS.setdefault  # (key, numerator, denominator), each nonzero term
         for key, raw in (terms or {}).items():
             i, j = key
             if type(i) is not int or type(j) is not int:
@@ -222,8 +229,12 @@ class NSClass(Record):
             n, q = _ratio(raw)
             if n:
                 read.append((shared(key, key), n, q))
-        den = lcm(*[q for _key, _n, q in read])  # n/q in lowest terms, so gcd(den, *numerators) == 1
-        super().__init__(ambient, den, {key: n * (den // q) for key, n, q in read})
+                dens.append(q)
+        den = lcm(*dens)  # n/q in lowest terms, so gcd(den, *numerators) == 1
+        stored = {}
+        for key, n, q in read:
+            stored[key] = n * (den // q)
+        super().__init__(ambient, den, stored)
 
     # -- inspection ---------------------------------------------------------
 
@@ -238,7 +249,7 @@ class NSClass(Record):
 
     def pure_degree(self) -> int | None:
         """Total degree if the class is homogeneous and nonzero, else None."""
-        degrees = {i + j for (i, j) in self._terms}
+        degrees = set(map(sum, self._terms))
         if len(degrees) == 1:
             return degrees.pop()
         return None
@@ -335,13 +346,16 @@ class NSClass(Record):
 def _of(ambient: Ambient, nums: dict, den: int) -> NSClass:
     """The class sum of nums[i, j]/den x^i theta^j, for den > 0 and keys of degree at most d.
 
-    The private constructor: drops zero numerators, shares keys through `_KEYS`, divides out the gcd,
-    in one pass over the terms.
+    The private constructor: drops zero numerators, shares keys through `_KEYS` and divides out the
+    gcd, in one pass over the terms.
     """
-    shared = _KEYS.setdefault
+    shared, terms = _KEYS.setdefault, {}
     common = gcd(den, *nums.values())  # a zero numerator leaves the gcd as it is
-    terms = {shared(key, key): n // common for key, n in nums.items() if n}
-    return NSClass._make(ambient, den // common, terms)
+    den //= common
+    for key, n in nums.items():
+        if n:
+            terms[shared(key, key)] = n // common
+    return NSClass._make(ambient, den, terms)
 
 
 def format_rational(q: RationalInput) -> str:
@@ -366,8 +380,9 @@ def _signed_sum(terms) -> str:
 
     The one place a signed sum's text is decided, for classes and cone rays alike.
     """
-    pieces = [f" - {text[1:]}{monomial}" if text[0] == "-" else f" + {text}{monomial}"
-              for text, monomial in terms]
+    pieces = []
+    for text, monomial in terms:
+        pieces.append(f" - {text[1:]}{monomial}" if text[0] == "-" else f" + {text}{monomial}")
     if not pieces:
         return "0"
     head = pieces[0]
@@ -386,9 +401,14 @@ def format_class(c: NSClass) -> str:
     `_PRINTED`, filled the first time the key is printed.  Only stored keys
     are printed, so it is bounded as `_KEYS` is.
     """
-    terms, den, row = c._terms, c.den, _PRINTED.get
-    rows = sorted([(row(key) or _print_row(key)) + (n,) for key, n in terms.items()])
-    return _signed_sum([(_lowest_terms(n, den), text) for _order, text, n in rows])
+    den, row, rows = c.den, _PRINTED.get, []
+    for key, n in c._terms.items():
+        rows.append((row(key) or _print_row(key)) + (n,))
+    rows.sort()
+    pieces = []
+    for _order, text, n in rows:
+        pieces.append((_lowest_terms(n, den), text))
+    return _signed_sum(pieces)
 
 
 def _lowest_terms(n: int, den: int) -> str:
@@ -427,8 +447,10 @@ def eval_top(c: NSClass) -> Fraction:
         return Fraction(0)
     if c.pure_degree() != d:
         raise ValueError(f"not a top-degree class: need pure degree {d}, got {format_class(c)}")
-    weights = _top_weights(g, d, min(i for i, _j in c._terms))
-    return Fraction(sum(n * weights[d - i] for (i, _j), n in c._terms.items()), c.den)
+    weights, total = _top_weights(g, d, min(c._terms)[0]), 0  # the least key has the least x-exponent
+    for (i, _j), n in c._terms.items():
+        total += n * weights[d - i]
+    return Fraction(total, c.den)
 
 
 def pair(a: NSClass, b: NSClass) -> Fraction:
@@ -449,11 +471,13 @@ def pair(a: NSClass, b: NSClass) -> Fraction:
             f"got {da} and {db}"
         )
     g, d = a.ambient.g, a.ambient.d
-    weights = _top_weights(g, d, min(i for i, _j in a._terms) + min(i for i, _j in b._terms))
+    weights = _top_weights(g, d, min(a._terms)[0] + min(b._terms)[0])
     total = 0
     for (i1, _j1), n1 in a._terms.items():
-        top = d - i1
-        total += n1 * sum(n2 * weights[top - i2] for (i2, _j2), n2 in b._terms.items())
+        top, inner = d - i1, 0
+        for (i2, _j2), n2 in b._terms.items():
+            inner += n2 * weights[top - i2]
+        total += n1 * inner
     return Fraction(total, a.den * b.den)
 
 

@@ -16,6 +16,8 @@ from cdcalc import (
     bounds_from_json,
     bounds_to_json,
     contains,
+    diagonal_class,
+    dm_class,
     full_catalog,
     general_effective_cone_gm2,
     known_bounds,
@@ -166,6 +168,21 @@ def test_general_cone_rays():
     }
     with pytest.raises(ValueError, match="g >= 5"):
         general_effective_cone_gm2(4)
+
+
+def test_general_cone_is_spanned_by_the_diagonal_and_d1():
+    # the cone is built from integer directions; here its rays are read off the two classes
+    for g in range(5, 301):
+        diagonal = ray_from_class(diagonal_class(Ambient(g, g - 2)))
+        assert general_effective_cone_gm2(g) == Cone2D(diagonal, ray_from_class(dm_class(g, 1)))
+
+
+def test_general_catalogue_rays_are_those_of_dm():
+    # the catalogue's general-curve ray on C_{g-2m} is built from integers; D_m spans the same ray
+    entries = [e for e in full_catalog(5, 60) if e.curve is CurveClass.GENERAL]
+    assert len(entries) == sum((g - 2) // 2 for g in range(5, 61))
+    for e in entries:
+        assert e.ray == ray_from_class(dm_class(e.g, (e.g - e.d) // 2))
 
 
 def test_general_cone_slope_and_orthogonality_sweep():

@@ -124,7 +124,7 @@ def test_fast_constructor_only_on_validated_values():
                   for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                   and node.attr == "_make" and id(node) not in inside_record]
     assert sorted(sites) == [
-        "catalog.py: _dm: Ambient._make",
+        "catalog.py: dm_class: Ambient._make",
         "catalog.py: pushpull: Ambient._make",
         "checks.py: _run: CheckResult._make",
         "checks.py: check_pushpull_closed_form: Ambient._make",

@@ -11,9 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import cone_oracle
 from cdcalc import (
-    Ambient, Cone2D, ConeRay, LinearSeries, NSClass, binom, chern_character, contains, eval_top,
-    format_class, pair, pushpull, subordinate_class,
+    Ambient, Cone2D, ConeRay, LinearSeries, NSClass, SystemData, binom, c1d_class, canonical_class,
+    chern_character, contains, diagonal_class, dm_class, eval_top, format_class, pair, pushpull,
+    subordinate_class, system_c1,
 )
+from cdcalc import nsring
 from cdcalc.cli import parse_class
 
 fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
@@ -205,13 +207,31 @@ def test_parse_inverts_format_class(c):
 # -- the stored form: integer numerators over one denominator -------------------
 
 def _assert_stored_form(c: NSClass) -> None:
-    """den > 0, no zero numerator, no factor common to den and every numerator; equal to its rebuild."""
+    """den > 0, no zero numerator, no factor common to den and every numerator, every key the shared
+    tuple; equal to its rebuild."""
     numerators = list(c._terms.values())
+    assert all(nsring._KEYS.get(key) is key for key in c._terms)
     assert type(c.den) is int and c.den > 0
     assert all(type(n) is int and n for n in numerators)
     assert gcd(c.den, *numerators) == 1
     twin = NSClass(c.ambient, c.terms())
     assert c == twin and hash(c) == hash(twin)
+
+
+def _catalogue_classes(amb: Ambient, k: int) -> list[NSClass]:
+    """The catalogue classes built through `nsring._of`, on `amb` (or its g) where their ranges allow.
+
+    0 <= k <= d picks the series, the system and the truncation."""
+    g, d = amb.g, amb.d
+    built = [subordinate_class(amb, LinearSeries(d + k, min(k, d))), canonical_class(amb),
+             system_c1(amb, SystemData(1 + k, k - g, (1 + k) * d)), chern_character(amb, 1 + k, k - g, k)]
+    if d >= 2:
+        built.append(diagonal_class(amb))
+    if g - d + 1 <= d <= g:
+        built.append(c1d_class(amb))
+    if g >= 4:
+        built.append(dm_class(g, 1 + k % ((g - 2) // 2)))
+    return built
 
 
 @st.composite
@@ -233,6 +253,7 @@ def test_every_operation_keeps_the_stored_form(case):
         a, a + b, a - b, a - a, a * b, scalar * a, a * scalar, a / divisor,
         a.homogeneous_part(k), a.truncate_degree(k), pushpull(a, min(k, a.ambient.d - 1)),
         parse_class(format_class(a), a.ambient), pickle.loads(pickle.dumps(a)),
+        *_catalogue_classes(a.ambient, k),
     ]
     for c in produced:
         _assert_stored_form(c)

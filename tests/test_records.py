@@ -1,6 +1,7 @@
 """Value semantics of the immutable record types and of NSClass."""
 
 import copy
+import json
 import pickle
 import re
 from fractions import Fraction
@@ -20,15 +21,20 @@ from cdcalc import (
     NSClass,
     Report,
     SystemData,
+    brill_noether_rho,
     c1d_class,
     check_pushpull_closed_form,
+    chern_character,
     dm_class,
     full_catalog,
     general_effective_cone_gm2,
     known_bounds,
+    mult_degeneracy_class,
     pushpull,
+    report_json,
     run_all,
     subordinate_class,
+    twisted_kernel_class,
 )
 
 RAY = ConeRay(Fraction(2), Fraction(-3))
@@ -153,6 +159,17 @@ AMB = Ambient(8, 6)
     (lambda bad: full_catalog(6, bad), "full_catalog argument g_max"),
     (lambda bad: run_all(bad, 6), "run_all argument g_min"),
     (lambda bad: run_all(5, bad), "run_all argument g_max"),
+    (lambda bad: brill_noether_rho(bad, 1, 4), "brill_noether_rho argument g"),
+    (lambda bad: brill_noether_rho(6, bad, 4), "brill_noether_rho argument r"),
+    (lambda bad: brill_noether_rho(6, 1, bad), "brill_noether_rho argument d"),
+    (lambda bad: chern_character(AMB, bad, 3, 2), "chern_character argument rank"),
+    (lambda bad: chern_character(AMB, 1, bad, 2), "chern_character argument degree"),
+    (lambda bad: chern_character(AMB, 1, 3, bad), "chern_character argument max_degree"),
+    (lambda bad: mult_degeneracy_class(bad, 4, 2), "mult_degeneracy_class argument g"),
+    (lambda bad: mult_degeneracy_class(8, bad, 2), "mult_degeneracy_class argument d"),
+    (lambda bad: mult_degeneracy_class(8, 4, bad), "mult_degeneracy_class argument r"),
+    (lambda bad: twisted_kernel_class(bad, KernelBundleData(13, 7), 7), "twisted_kernel_class argument g"),
+    (lambda bad: twisted_kernel_class(8, KernelBundleData(13, 7), bad), "twisted_kernel_class argument h1"),
 ])
 @pytest.mark.parametrize("bad", [6.0, True])
 def test_integer_arguments_refuse_floats_and_bools(call, words, bad):
@@ -188,6 +205,17 @@ def test_report_records_refuse_fields_outside_the_schema(values, words):
 def test_check_result_refuses_negative_micros():
     with pytest.raises(ValueError, match=r"^CheckResult field micros must be nonnegative, got -1$"):
         CheckResult("demo", {}, "1", "1", True, -1)
+
+
+@pytest.mark.parametrize("later", [True, 1.5, float("nan"), "5"])
+def test_check_result_keeps_its_checked_params(later):
+    params = {"g": 5}
+    row = CheckResult("demo", params, "1", "1", True, 0)
+    text = report_json(Report("0.1.0", 5, 5, [row]))
+    params["g"], params["m"] = later, later
+    assert row.params == {"g": 5}
+    assert report_json(Report("0.1.0", 5, 5, [row])) == text
+    assert json.loads(text)["checks"][0]["params"] == {"g": 5}
 
 
 @pytest.mark.parametrize("g, d", [(2, 1), (6, 4), (8, 7), (3, 5), (10**30, 10**20)])
