@@ -14,10 +14,12 @@ import argparse
 import os
 import re
 import sys
+from functools import cache
 from math import lcm
 
-from .catalog import NAMED_CLASSES, brill_noether_rho, pushpull
-from .conelab import CurveClass, bounds_to_json, contains, general_effective_cone_gm2, known_bounds
+# Only the ring is imported here.  With no bytecode cache a call compiles every
+# module it imports, so `catalog` and `conelab` are imported by the code that
+# uses them, and a call loads only what its verb runs.
 from .nsring import Ambient, NSClass, _of, eval_top, format_class, format_rational, pair
 
 
@@ -176,10 +178,18 @@ def _flags(params: str) -> list[str]:
     return [param.strip("[]") for param in params.split()]
 
 
-# name -> signature of every `class --name`: the table's rows, and rho, which
-# prints an integer, not a class, so it is not in the table.
-_SIGNATURES = {**{name: row[0] for name, row in NAMED_CLASSES.items()}, "rho": "g r d"}
-_CLASS_FLAGS = list(dict.fromkeys(_flags(" ".join(_SIGNATURES.values()))))
+@cache
+def _class_table() -> tuple[dict, dict[str, str], list[str]]:
+    """The class table, name -> signature of every `class --name`, and the flags they take in order.
+
+    The names are the table's rows, and rho, which prints an integer, not a
+    class, so it is not in the table.  Built on first use, so a call that
+    names no class does not import the table.
+    """
+    from .catalog import NAMED_CLASSES
+
+    signatures = {**{name: row[0] for name, row in NAMED_CLASSES.items()}, "rho": "g r d"}
+    return NAMED_CLASSES, signatures, list(dict.fromkeys(_flags(" ".join(signatures.values()))))
 
 
 def _named(name: str, values: list[int]):
@@ -188,7 +198,7 @@ def _named(name: str, values: list[int]):
     So a caller can refuse a class on another ambient before the builder
     runs: a large class can take long to build, only to be refused afterwards.
     """
-    params, builder, *ambient = NAMED_CLASSES[name]
+    params, builder, *ambient = _class_table()[0][name]
     most = len(params.split())
     least = most - params.count("[")
     if not least <= len(values) <= most:
@@ -211,8 +221,9 @@ def resolve_class(text: str, amb: Ambient) -> NSClass:
     if not fields:
         raise UsageError("empty class reference")
     name, raw_args = fields[0], fields[1:]
-    if name not in NAMED_CLASSES:
-        raise UsageError(f"unknown class reference '{name}'; known: {', '.join(sorted(NAMED_CLASSES))}")
+    named = _class_table()[0]
+    if name not in named:
+        raise UsageError(f"unknown class reference '{name}'; known: {', '.join(sorted(named))}")
     try:
         args = [integer(a) for a in raw_args]
     except ValueError:
@@ -245,10 +256,13 @@ def _status_words() -> dict[bool, str]:
 # -- verb handlers ------------------------------------------------------------
 
 def cmd_class(args) -> int:
+    from .catalog import brill_noether_rho
+
+    _, signatures, class_flags = _class_table()
     name = args.name
-    params = _SIGNATURES[name]
+    params = signatures[name]
     taken = _flags(params)
-    given = {flag: getattr(args, flag.replace("-", "_")) for flag in _CLASS_FLAGS}
+    given = {flag: getattr(args, flag.replace("-", "_")) for flag in class_flags}
     unused = [f"--{flag}" for flag, value in given.items()
               if value is not None and flag not in taken and flag != "d"]
     if unused:
@@ -286,6 +300,8 @@ def cmd_pair(args) -> int:
 
 
 def cmd_pushpull(args) -> int:
+    from .catalog import pushpull
+
     amb = Ambient(args.g, args.d)
     image = pushpull(resolve_class(args.expr, amb), args.k)
     text = format_class(image)
@@ -295,6 +311,8 @@ def cmd_pushpull(args) -> int:
 
 
 def cmd_cone(args) -> int:
+    from .conelab import CurveClass, bounds_to_json, contains, general_effective_cone_gm2, known_bounds
+
     curve = CurveClass(args.curve)
     if curve is CurveClass.GENERAL and args.d == args.g - 2:
         cone = general_effective_cone_gm2(args.g)
@@ -327,10 +345,13 @@ def cmd_cone(args) -> int:
 
 
 def _read_config(path: str) -> dict[str, int]:
-    """The g-min/g-max values of a key=value file, each line checked as it is read."""
+    """The g-min/g-max values of a key=value file, each line checked as it is read.
+
+    A byte-order mark at the start of the file is skipped.
+    """
     values: dict[str, int] = {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -340,6 +361,8 @@ def _read_config(path: str) -> dict[str, int]:
                 key, _, value = (part.strip() for part in line.partition("="))
                 if key not in ("g-min", "g-max"):
                     raise UsageError(f"{path}: unknown key '{key}'")
+                if key in values:
+                    raise UsageError(f"{path}:{lineno}: duplicate key '{key}'")
                 try:
                     values[key] = integer(value)
                 except ValueError:
@@ -382,42 +405,65 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _verbs() -> dict:
-    """verb -> (help, handler, flags, formats), built per call so patched handlers are seen."""
+    """verb -> (help, handler, flags, formats), built per call so patched handlers are seen.
+
+    `flags` is a function that returns the verb's flag table, so only a verb
+    whose flags are added builds it: `class` then imports the class table and
+    `cone` its curve classes.
+    """
     required, optional = {"required": True}, {"type": integer}
     number = {**optional, **required}
     ambient = {"--g": number, "--d": number}
-    signatures = "; ".join(f"{name}: {params}" for name, params in _SIGNATURES.items())
-    named = {"required": True, "choices": list(_SIGNATURES),
-             "help": f"the flags each name takes: {signatures}"}
     text_json = ("text", "json")
+
+    def class_flags():
+        _, signatures, flags = _class_table()
+        listing = "; ".join(f"{name}: {params}" for name, params in signatures.items())
+        named = {"required": True, "choices": list(signatures),
+                 "help": f"the flags each name takes: {listing}"}
+        return {"--name": named, **{f"--{flag}": optional for flag in flags}}
+
+    def cone_flags():
+        from .conelab import CurveClass
+
+        return {"--curve": {"required": True, "choices": [c.value for c in CurveClass]},
+                **ambient, "--query": {}}
+
     return {
-        "class": ("print a catalogued class in canonical form", cmd_class,
-                  {"--name": named, **{f"--{flag}": optional for flag in _CLASS_FLAGS}},
-                  text_json),
+        "class": ("print a catalogued class in canonical form", cmd_class, class_flags, text_json),
         "eval": ("evaluate a top-degree class expression", cmd_eval,
-                 {**ambient, "--expr": required}, text_json),
+                 lambda: {**ambient, "--expr": required}, text_json),
         "pair": ("intersection pairing of two classes", cmd_pair,
-                 {**ambient, "--a": required, "--b": required}, text_json),
+                 lambda: {**ambient, "--a": required, "--b": required}, text_json),
         "pushpull": ("apply the push-pull operator to a class", cmd_pushpull,
-                     {**ambient, "--k": number, "--expr": required}, text_json),
-        "cone": ("cone rays, membership queries, catalogued bounds", cmd_cone,
-                 {"--curve": {"required": True, "choices": [c.value for c in CurveClass]},
-                  **ambient, "--query": {}}, text_json),
+                     lambda: {**ambient, "--k": number, "--expr": required}, text_json),
+        "cone": ("cone rays, membership queries, catalogued bounds", cmd_cone, cone_flags, text_json),
         "verify": ("run the identity suite over a genus sweep", cmd_verify,
-                   {"--g-min": optional, "--g-max": optional,
-                    "--config": {"help": "optional key=value file pre-setting g-min/g-max"}},
+                   lambda: {"--g-min": optional, "--g-max": optional,
+                            "--config": {"help": "optional key=value file pre-setting g-min/g-max"}},
                    ("text", "json", "csv")),
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for `argv`: every verb with its help line, flags only where they can be read.
+
+    When `argv` starts with a verb, argparse hands the rest to that verb
+    alone, so only its subparser gets flags.  Otherwise (no `argv`, or one
+    that starts with an option or an unknown word) every verb gets its
+    flags: argparse may still pick a verb, as in `-x eval`, and must report
+    that verb's own errors.
+    """
+    table = _verbs()
+    chosen = argv[0] if argv and argv[0] in table else None
     parser = _Parser(prog="cdcalc", description=__doc__.splitlines()[0])
     verbs = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
-    for verb, (text, handler, flags, formats) in _verbs().items():
+    for verb, (text, handler, flags, formats) in table.items():
         sub = verbs.add_parser(verb, help=text)
-        for flag, options in flags.items():
-            sub.add_argument(flag, **options)
-        sub.add_argument("--format", choices=formats, default="text")
+        if chosen in (None, verb):
+            for flag, options in flags().items():
+                sub.add_argument(flag, **options)
+            sub.add_argument("--format", choices=formats, default="text")
         sub.set_defaults(handler=handler)
     return parser
 
@@ -427,8 +473,10 @@ def main(argv: list[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:
         sys.set_int_max_str_digits(0)
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

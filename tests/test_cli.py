@@ -522,6 +522,23 @@ def test_config_is_checked_line_by_line(capsys, tmp_path):
     assert (code, out, err) == (1, "", f"usage error: {config}:2: expected 'key = value'\n")
 
 
+def test_config_refuses_a_repeated_key(capsys, tmp_path):
+    config = tmp_path / "sweep.cfg"
+    # refused on the line that repeats it, before the lines after it and whatever the flags say
+    config.write_text("g-min = 5\ng-max = 6\ng-min = 7\ngenus = 5\n")
+    for flags in ((), ("--g-min", "5")):
+        code, out, err = run_cli(capsys, "verify", "--config", str(config), *flags)
+        assert (code, out, err) == (1, "", f"usage error: {config}:3: duplicate key 'g-min'\n")
+
+
+def test_config_may_start_with_a_byte_order_mark(capsys, tmp_path):
+    config = tmp_path / "sweep.cfg"
+    config.write_bytes(b"\xef\xbb\xbfg-min = 5\r\ng-max = 6\r\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(config), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["range"] == {"gMin": 5, "gMax": 6}
+
+
 def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 1
     assert run_cli(capsys, "eval", "--g", "6", "--d", "4")[0] == 1  # missing --expr

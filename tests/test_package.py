@@ -15,7 +15,8 @@ PACKAGE = ROOT / "src" / "cdcalc"
 PROBE = """
 import json, sys
 import cdcalc.cli
-loaded = sorted(m for m in ("dataclasses", "inspect", "csv", "cdcalc.checks") if m in sys.modules)
+heavy = ("dataclasses", "inspect", "csv", "cdcalc.checks", "cdcalc.conelab", "cdcalc.catalog")
+loaded = sorted(m for m in heavy if m in sys.modules)
 import cdcalc
 missing = [n for n in cdcalc.__all__ if getattr(cdcalc, n, None) is None]
 unlisted = sorted(set(cdcalc.__all__) - set(dir(cdcalc)))
@@ -37,6 +38,82 @@ def test_cli_import_leaves_heavy_modules_out():
     assert loaded == []
     assert missing == [] and unlisted == [] and uncached == []
     assert unknown == "AttributeError"
+
+
+# The package modules a call loads: only those its verb runs, since with no
+# bytecode cache each one is compiled on every call.
+VERB_MODULES = [
+    (["class", "--name", "gamma", "--g", "6", "--d", "4", "--n", "5", "--r", "1"], {"catalog"}),
+    (["eval", "--g", "6", "--d", "4", "--expr", "1*x^4"], set()),
+    (["eval", "--g", "6", "--d", "4", "--expr", "<gamma 6 4 5 0>"], {"catalog"}),
+    (["pair", "--g", "6", "--d", "4", "--a", "1*x", "--b", "1*theta^3"], set()),
+    (["pushpull", "--g", "6", "--d", "2", "--k", "1", "--expr", "1*x"], {"catalog"}),
+    (["cone", "--curve", "general", "--g", "8", "--d", "6", "--query", "1*theta"], {"conelab"}),
+    (["cone", "--curve", "hyperelliptic", "--g", "8", "--d", "6"], {"conelab"}),
+    (["verify", "--g-min", "5", "--g-max", "5"], {"catalog", "checks"}),
+]
+
+MODULES_PROBE = """
+import json, sys
+from cdcalc.cli import main
+code = main(json.loads(sys.argv[1]))
+sys.stderr.write(json.dumps([code, sorted(m for m in sys.modules if m.startswith("cdcalc."))]))
+"""
+
+
+def test_each_verb_loads_only_the_modules_it_runs():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for argv, extra in VERB_MODULES:
+        run = subprocess.run([sys.executable, "-c", MODULES_PROBE, json.dumps(argv)], env=env,
+                             cwd=ROOT, capture_output=True, text=True, check=True)
+        code, loaded = json.loads(run.stderr)
+        assert code == 0, argv
+        assert loaded == sorted(f"cdcalc.{m}" for m in {"cli", "nsring", *extra}), argv
+
+
+def _subparsers(parser):
+    (verbs,) = [a for a in parser._actions if a.dest == "verb"]
+    return verbs.choices
+
+
+def _fields(sub):
+    return [(a.option_strings, a.dest, a.type, a.choices, a.default, a.required, a.help)
+            for a in sub._actions]
+
+
+def test_a_verb_alone_gets_the_flags_it_has_among_all():
+    from cdcalc.cli import build_parser
+
+    full = _subparsers(build_parser())
+    for verb in full:
+        one = _subparsers(build_parser([verb]))
+        assert list(one) == list(full)
+        assert _fields(one[verb]) == _fields(full[verb]), verb
+        assert {a.dest for other in one if other != verb for a in one[other]._actions} == {"help"}
+
+
+EDGE_ARGV = [
+    [], ["-h"], ["bogus"], ["-x", "eval"], ["--", "eval", "--g", "6", "--d", "4", "--expr", "1*x^4"],
+    *([verb, "-h"] for verb in ("class", "eval", "pair", "pushpull", "cone", "verify")),
+    ["cone", "--curve", "nope", "--g", "8", "--d", "6"],
+    ["class", "--nam", "dm", "--g", "6", "--m", "1"],
+]
+
+
+def test_main_answers_as_with_every_verb_s_flags(capsys, monkeypatch):
+    from cdcalc import cli
+
+    def outcome(argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    answers = [outcome(argv) for argv in EDGE_ARGV]
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: build_parser())
+    assert [outcome(argv) for argv in EDGE_ARGV] == answers
 
 
 def test_runtime_dependencies_stay_empty():
