@@ -26,7 +26,7 @@ from __future__ import annotations
 from math import comb, factorial, perm
 
 from . import _EXPORTS
-from .nsring import Ambient, NSClass, Record, _of, _require_int_args, _top_weights, canonical_class
+from .nsring import Ambient, NSClass, Record, _of, _require_ints, _top_weights, canonical_class
 
 __all__ = list(_EXPORTS["catalog"])
 
@@ -51,7 +51,7 @@ class LinearSeries(Record):
     __slots__ = ("n", "r")
 
     def __init__(self, n: int, r: int):
-        self._require_ints(n, r)
+        _require_ints("LinearSeries field", n=n, r=r)
         if n < 0:
             raise ValueError(f"series degree must be nonnegative, got n={n}")
         if r < 0:
@@ -65,7 +65,7 @@ class SystemData(Record):
     __slots__ = ("rank", "degree", "dim_v")
 
     def __init__(self, rank: int, degree: int, dim_v: int):
-        self._require_ints(rank, degree, dim_v)
+        _require_ints("SystemData field", rank=rank, degree=degree, dim_v=dim_v)
         if rank < 1:
             raise ValueError(f"system rank must be positive, got {rank}")
         if dim_v < 0:
@@ -83,7 +83,7 @@ class KernelBundleData(Record):
     __slots__ = ("base_degree", "base_sections")
 
     def __init__(self, base_degree: int, base_sections: int):
-        self._require_ints(base_degree, base_sections)
+        _require_ints("KernelBundleData field", base_degree=base_degree, base_sections=base_sections)
         if base_sections < 2:
             raise ValueError(
                 f"kernel bundle needs at least 2 sections, got h^0={base_sections}"
@@ -171,7 +171,7 @@ def pushpull(c: NSClass, k: int) -> NSClass:
     contribution is one integer product added into an int per output
     monomial, and no Fraction is built.
     """
-    _require_int_args("pushpull", k=k)
+    _require_ints("pushpull argument", k=k)
     if k < 0:
         raise ValueError(f"push-pull index must be nonnegative, got k={k}")
     amb = c.ambient
@@ -209,7 +209,7 @@ def dm_class(g: int, m: int) -> NSClass:
     are checked first, so an m out of range builds no binomial, and they make
     C_{g-2m} a valid ambient: g >= 2m + 2 >= 4, so binom(g, m) is comb(g, m).
     """
-    _require_int_args("dm_class", g=g, m=m)
+    _require_ints("dm_class argument", g=g, m=m)
     if m < 1 or 2 * m > g - 2:
         raise ValueError(f"m out of range: need 1 <= m <= g/2 - 1, got g={g}, m={m}")
     scale = comb(g, m)
@@ -239,7 +239,7 @@ def chern_character(amb: Ambient, rank: int, degree: int, max_degree: int) -> NS
 
     with ring arithmetic, for a rank-r degree-f system with dim V = r*d.
     """
-    _require_int_args("chern_character", rank=rank, degree=degree, max_degree=max_degree)
+    _require_ints("chern_character argument", rank=rank, degree=degree, max_degree=max_degree)
     if rank < 1:
         raise ValueError(f"system rank must be positive, got {rank}")
     if not 0 <= max_degree <= amb.d:
@@ -281,7 +281,7 @@ def twisted_kernel_class(g: int, data: KernelBundleData, h1: int) -> NSClass:
     be rank * d for a positive integer d — that d fixes the symmetric power
     the class lives on.
     """
-    _require_int_args("twisted_kernel_class", g=g, h1=h1)
+    _require_ints("twisted_kernel_class argument", g=g, h1=h1)
     if h1 < 0:
         raise ValueError(f"h^1 must be nonnegative, got {h1}")
     rank = data.kernel_rank
@@ -299,7 +299,7 @@ def twisted_kernel_class(g: int, data: KernelBundleData, h1: int) -> NSClass:
 
 def brill_noether_rho(g: int, r: int, d: int) -> int:
     """The Brill-Noether number g - (r+1)(g - d + r)."""
-    _require_int_args("brill_noether_rho", g=g, r=r, d=d)
+    _require_ints("brill_noether_rho argument", g=g, r=r, d=d)
     return g - (r + 1) * (g - d + r)
 
 
@@ -314,7 +314,7 @@ def mult_degeneracy_class(g: int, d: int, r: int) -> NSClass:
 
     Both sides are computed; the simplification is verified, not assumed.
     """
-    _require_int_args("mult_degeneracy_class", g=g, d=d, r=r)
+    _require_ints("mult_degeneracy_class argument", g=g, d=d, r=r)
     if not 2 <= d <= g - 1:
         raise ValueError(f"need 2 <= d <= g-1, got g={g}, d={d}")
     if r < 1 or r * (g - d) < d:

@@ -9,8 +9,10 @@ Each `check_*` returns `(lhs, rhs, passed)` with both sides exact, and
 
 Report ordering is fixed: rows are sorted by check id, and a stable sort
 keeps each id's rows in the order `run_all` plans them, which ascends in the
-parameters (g, then m).  The JSON rendering is byte-deterministic once
-per-check timings are masked.  `report_json` fills a fixed template
+parameters (g, then m).  The text, CSV and JSON reports are all written
+here; text and CSV read a row's params through one `k=v` view, `_params`.
+The JSON rendering is byte-deterministic once per-check timings are
+masked.  `report_json` fills a fixed template
 with each field's JSON text (strings through the C escaper `json` itself
 uses, ints through `str`) and writes exactly what `json.dumps(payload,
 indent=2)` would, without `json.dumps`'s pure-Python encoder, which it runs
@@ -42,7 +44,7 @@ from .catalog import (
     system_c1,
     twisted_kernel_class,
 )
-from .nsring import Ambient, NSClass, Record, _require_int_args, format_class, format_rational, pair
+from .nsring import Ambient, NSClass, Record, _require_ints, format_class, format_rational, pair
 
 __all__ = list(_EXPORTS["checks"])
 
@@ -62,8 +64,7 @@ class CheckResult(Record):
             raise TypeError(f"CheckResult field params must map str to int, got {params!r}")
         if type(passed) is not bool:
             raise TypeError(f"CheckResult field passed must be a bool, got {passed!r}")
-        if type(micros) is not int:
-            raise TypeError(f"CheckResult field micros must be an int, got {micros!r}")
+        _require_ints("CheckResult field", micros=micros)
         if micros < 0:
             raise ValueError(f"CheckResult field micros must be nonnegative, got {micros}")
         super().__init__(values[0], dict(params), *values[2:])  # keep a copy of the checked params
@@ -79,9 +80,7 @@ class Report(Record):
         checks = [] if checks is None else checks
         if type(version) is not str:
             raise TypeError(f"Report field version must be a str, got {version!r}")
-        for name, value in (("g_min", g_min), ("g_max", g_max)):
-            if type(value) is not int:
-                raise TypeError(f"Report field {name} must be an int, got {value!r}")
+        _require_ints("Report field", g_min=g_min, g_max=g_max)
         if type(checks) is not list or not set(map(type, checks)) <= {CheckResult}:
             raise TypeError(f"Report field checks must be a list of CheckResult, got {checks!r}")
         super().__init__(version, g_min, g_max, checks)
@@ -262,7 +261,7 @@ def run_all(g_min: int, g_max: int) -> Report:
     plane-quintic check runs once.  Deterministic given the range, apart from
     the per-check times, which exclude rendering.
     """
-    _require_int_args("run_all", g_min=g_min, g_max=g_max)
+    _require_ints("run_all argument", g_min=g_min, g_max=g_max)
     if not 5 <= g_min <= g_max:
         raise ValueError(f"invalid genus range: need 5 <= gMin <= gMax, got [{g_min}, {g_max}]")
 
@@ -326,12 +325,27 @@ def report_json(report: Report, include_timing: bool = True) -> str:
             f'    "passed": {report.passed},\n    "failed": {report.failed}\n  }}\n}}\n')
 
 
+def _params(c: CheckResult) -> list[str]:
+    """A row's params as "k=v" words in key order: the one view the text and CSV reports read."""
+    return [f"{k}={v}" for k, v in sorted(c.params.items())]
+
+
 def report_csv(report: Report) -> str:
     """Flatten a report to CSV, one row per check."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["id", "params", "lhs", "rhs", "passed", "micros"])
     for c in report.checks:
-        params = ";".join(f"{k}={v}" for k, v in sorted(c.params.items()))
-        writer.writerow([c.check_id, params, c.lhs, c.rhs, "true" if c.passed else "false", c.micros])
+        writer.writerow([c.check_id, ";".join(_params(c)), c.lhs, c.rhs, "true" if c.passed else "false",
+                         c.micros])
     return buffer.getvalue()
+
+
+def _report_text(report: Report, status: dict[bool, str]) -> str:
+    """The text report: each row's status word, id and params (both sides if it failed), then a summary."""
+    lines = []
+    for c in report.checks:
+        line = " ".join([status[c.passed], c.check_id, *_params(c)])
+        lines.append(line if c.passed else f"{line}  lhs={c.lhs}  rhs={c.rhs}")
+    lines.append(f"summary: {report.total} checks, {report.passed} passed, {report.failed} failed")
+    return "\n".join(lines) + "\n"

@@ -15,12 +15,11 @@ import os
 import re
 import sys
 from functools import cache
-from math import lcm
 
 # Only the ring is imported here.  With no bytecode cache a call compiles every
 # module it imports, so `catalog` and `conelab` are imported by the code that
 # uses them, and a call loads only what its verb runs.
-from .nsring import Ambient, NSClass, _of, eval_top, format_class, format_rational, pair
+from .nsring import Ambient, NSClass, _of, _over_lcm, eval_top, format_class, format_rational, pair
 
 
 class UsageError(Exception):
@@ -162,11 +161,7 @@ def parse_class(expr: str, amb: Ambient) -> NSClass:
                 expr, f"degree exceeds ambient: term of degree {i + j} on C_{amb.d}", m.start(2))
         read.append(((i, j), numerator, denominator))
         if not stop:
-            den = lcm(*(q for _key, _n, q in read))
-            nums: dict[tuple[int, int], int] = {}
-            for key, n, q in read:
-                nums[key] = nums.get(key, 0) + n * (den // q)
-            return _of(amb, nums, den)
+            return _of(amb, *_over_lcm(read))  # _of drops the terms that cancel and divides out the gcd
         if stop not in "+-":
             raise _syntax_error(expr, "expected '+' or '-' between terms", end)
 
@@ -356,24 +351,25 @@ def _read_config(path: str) -> dict[str, int]:
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
+                at = f"{path}:{lineno}:"  # every error names its line
                 if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+                    raise UsageError(f"{at} expected 'key = value'")
                 key, _, value = (part.strip() for part in line.partition("="))
                 if key not in ("g-min", "g-max"):
-                    raise UsageError(f"{path}: unknown key '{key}'")
+                    raise UsageError(f"{at} unknown key '{key}'")
                 if key in values:
-                    raise UsageError(f"{path}:{lineno}: duplicate key '{key}'")
+                    raise UsageError(f"{at} duplicate key '{key}'")
                 try:
                     values[key] = integer(value)
                 except ValueError:
-                    raise UsageError(f"{path}: key '{key}' must be an integer, got {value!r}") from None
+                    raise UsageError(f"{at} key '{key}' must be an integer, got {value!r}") from None
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     return values
 
 
 def cmd_verify(args) -> int:
-    from .checks import report_csv, report_json, run_all
+    from .checks import _report_text, report_csv, report_json, run_all
 
     config = _read_config(args.config) if args.config else {}
     g_min = config.get("g-min", 5) if args.g_min is None else args.g_min
@@ -384,16 +380,7 @@ def cmd_verify(args) -> int:
     elif args.format == "csv":
         print(report_csv(report), end="")
     else:
-        status = _status_words()  # decided once per call, not once per row
-        for check in report.checks:
-            params = " ".join(f"{k}={v}" for k, v in sorted(check.params.items()))
-            line = f"{status[check.passed]} {check.check_id}"
-            if params:
-                line += f" {params}"
-            if not check.passed:
-                line += f"  lhs={check.lhs}  rhs={check.rhs}"
-            print(line)
-        print(f"summary: {report.total} checks, {report.passed} passed, {report.failed} failed")
+        print(_report_text(report, _status_words()), end="")  # words decided once per call
     return 2 if report.failed else 0
 
 

@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import _EXPORTS
-from .nsring import NSClass, Record, _ratio, _require_int_args, _signed_sum, format_rational
+from .nsring import NSClass, Record, _ratio, _require_ints, _signed_sum, format_rational
 
 __all__ = list(_EXPORTS["conelab"])
 
@@ -103,7 +103,7 @@ def general_effective_cone_gm2(g: int) -> Cone2D:
     integer directions (-1, 2g-3) and (g-2, -g), without building either
     class; a test checks them against the rays of the two classes.
     """
-    _require_int_args("general_effective_cone_gm2", g=g)
+    _require_ints("general_effective_cone_gm2 argument", g=g)
     if g < 5:
         raise ValueError(f"general-curve cone description needs g >= 5, got g={g}")
     return Cone2D(ConeRay(-1, 2 * g - 3), ConeRay(g - 2, -g))
@@ -169,7 +169,7 @@ def known_bounds(curve: CurveClass, g: int, d: int) -> list[BoundEntry]:
     Raises for (curve, g, d) combinations the catalog says nothing about.
     """
     curve = CurveClass(curve)
-    _require_int_args("known_bounds", g=g, d=d)
+    _require_ints("known_bounds argument", g=g, d=d)
     entries = _bounds(curve, g, d)
     if not entries:
         raise ValueError(f"no catalogued bound for ({curve.value}, g={g}, d={d})")
@@ -178,7 +178,7 @@ def known_bounds(curve: CurveClass, g: int, d: int) -> list[BoundEntry]:
 
 def full_catalog(g_min: int, g_max: int) -> list[BoundEntry]:
     """Every catalogued entry with genus in [g_min, g_max], deterministically ordered."""
-    _require_int_args("full_catalog", g_min=g_min, g_max=g_max)
+    _require_ints("full_catalog argument", g_min=g_min, g_max=g_max)
     if g_min > g_max:
         raise ValueError(f"empty genus range [{g_min}, {g_max}]")
     entries = [entry for curve in CurveClass for g in range(g_min, g_max + 1)

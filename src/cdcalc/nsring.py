@@ -22,10 +22,11 @@ the product class.
 
 A class holds integer numerators over one denominator (see `NSClass`), so
 the ring operations, `eval_top`, `pair` and `catalog.pushpull` run in
-integers.  `_ratio` reads every exact input and `_lowest_terms` writes every
-exact value, so Fractions are built only at the edges: `terms()`,
-`coefficient()`, pickling, the reciprocal in `/` and the scalars `eval_top`
-and `pair` return.
+integers.  `_ratio` reads every exact input, `_over_lcm` is the one place
+(key, numerator, denominator) triples are put over a common denominator (for
+`NSClass` and `cli.parse_class`), and `_lowest_terms` writes every exact
+value, so Fractions are built only at the edges: `terms()`, `coefficient()`,
+pickling, the reciprocal in `/` and the scalars `eval_top` and `pair` return.
 
 The class-building path (`_of`, `NSClass`, `format_class`, `eval_top`,
 `pair`) fills its maps and lists with plain loops, not comprehensions.  On
@@ -50,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from . import _EXPORTS
 
@@ -69,15 +70,22 @@ def _ratio(value: RationalInput) -> tuple[int, int]:
     raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__}")
 
 
-def _require_int_args(function: str, **args) -> None:
-    """Refuse the first of `function`'s arguments `args` that is not an int (a bool is not one).
+def _require_ints(owner: str, **values) -> None:
+    """Refuse the first named value that is not an int (a bool is not one): the one integer check.
 
-    For builders that take ints and pass them on to no validating constructor; worded as
-    `Record._require_ints` words a field.
+    `owner` is "Ambient field" for a record's fields, "pushpull argument" for a function's.
     """
-    for name, value in args.items():
+    for name, value in values.items():
         if type(value) is not int:
-            raise TypeError(f"{function} argument {name} must be an int, got {value!r}")
+            raise TypeError(f"{owner} {name} must be an int, got {value!r}")
+
+
+def _over_lcm(triples: list[tuple[tuple[int, int], int, int]]) -> tuple[dict, int]:
+    """Put (key, numerator, denominator > 0) triples over their lcm: (numerators summed per key, lcm)."""
+    den, nums = lcm(*map(itemgetter(2), triples)), {}
+    for key, n, q in triples:
+        nums[key] = nums.get(key, 0) + n * (den // q)
+    return nums, den
 
 
 @cache
@@ -154,12 +162,6 @@ class Record:
     def __reduce__(self):
         return (type(self), self._values(self))
 
-    def _require_ints(self, *values) -> None:
-        """Refuse the first of `values`, this record's leading fields in order, that is not an int."""
-        for name, value in zip(self.__slots__, values):
-            if type(value) is not int:
-                raise TypeError(f"{type(self).__name__} field {name} must be an int, got {value!r}")
-
 
 class Ambient(Record):
     """The pair (g, d): genus of the curve and index of the symmetric power."""
@@ -167,7 +169,7 @@ class Ambient(Record):
     __slots__ = ("g", "d")
 
     def __init__(self, g: int, d: int):
-        self._require_ints(g, d)
+        _require_ints("Ambient field", g=g, d=d)
         if g < 2:
             raise ValueError(f"genus must be at least 2, got g={g}")
         if d < 1:
@@ -217,7 +219,7 @@ class NSClass(Record):
     __slots__ = ("ambient", "den", "_terms")
 
     def __init__(self, ambient: Ambient, terms=None):
-        read, dens, shared = [], [], _KEYS.setdefault  # (key, numerator, denominator), each nonzero term
+        read, shared = [], _KEYS.setdefault  # (key, numerator, denominator), each nonzero term
         for key, raw in (terms or {}).items():
             i, j = key
             if type(i) is not int or type(j) is not int:
@@ -229,11 +231,7 @@ class NSClass(Record):
             n, q = _ratio(raw)
             if n:
                 read.append((shared(key, key), n, q))
-                dens.append(q)
-        den = lcm(*dens)  # n/q in lowest terms, so gcd(den, *numerators) == 1
-        stored = {}
-        for key, n, q in read:
-            stored[key] = n * (den // q)
+        stored, den = _over_lcm(read)  # n/q in lowest terms, so gcd(den, *numerators) == 1
         super().__init__(ambient, den, stored)
 
     # -- inspection ---------------------------------------------------------

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import platform
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 from importlib import resources
@@ -25,6 +28,7 @@ from cdcalc import (
 )
 from cdcalc.checks import _render, pairing_sum_theta, pairing_sum_x
 from cdcalc.cli import main
+import crossversion
 from report_oracle import report_json as reference_report_json
 
 
@@ -51,14 +55,22 @@ def test_masked_report_is_byte_identical():
     # of the ring or the checks must reproduce it byte for byte
     text = report_json(run_all(5, 40), include_timing=False)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "a38efc8a9de334551df41f9a817429b1800e1fecd2f0ecd92c72c8115a521862"
+    assert digest == crossversion.SWEEP_DIGESTS[5, 40]
 
 
 def test_masked_benchmark_sweep_is_byte_identical():
     # the same for 5..120, the sweep the benchmark's verify-sweep workload checks on every call
     text = report_json(run_all(5, 120), include_timing=False)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "2320c07d2d6adbe3b1382b5c6ef3b57de1aa5453addb63720027eca5a6b9f967"
+    assert digest == crossversion.SWEEP_DIGESTS[5, 120]
+
+
+def test_cross_version_runner_passes_on_this_interpreter():
+    # the runner kept for other interpreters, run on this one so that it cannot rot
+    run = subprocess.run([sys.executable, crossversion.__file__, sys.executable],
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == f"{sys.executable}: Python {platform.python_version()}: ok\n"
 
 
 # Text that needs escaping: quotes, backslashes, control characters, non-ASCII (astral and surrogates).

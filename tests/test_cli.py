@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -483,6 +485,31 @@ def test_verify_no_color_keeps_plain_words_on_a_terminal(capsys, monkeypatch):
     ]
 
 
+# `verify --g-min 5 --g-max 8`: rows with one, two and four params, in report order.
+VERIFY_5_8_TEXT = [
+    *(f"PASS kernel-decomposition g={g}" for g in range(5, 9)),
+    "PASS mult-chern d=3 f=17 g=5 r=3",
+    "PASS mult-chern d=4 f=31 g=6 r=4",
+    "PASS mult-chern d=5 f=49 g=7 r=5",
+    "PASS mult-chern d=6 f=71 g=8 r=6",
+    *(f"PASS pencil-pairings g={g}" for g in range(5, 9)),
+    "PASS plane-quintic",
+    *(f"PASS pushpull-closed-form g={g} m={m}" for g in range(5, 9) for m in range(1, (g - 2) // 2 + 1)),
+    "summary: 21 checks, 21 passed, 0 failed",
+]
+# SHA-256 of its CSV with the last column, `micros`, written as 0.
+VERIFY_5_8_CSV_DIGEST = "b170123343642cd33d88c0444b6c10c575296d542c810198488f0cac168e2e8f"
+
+
+def test_verify_text_and_csv_are_pinned(capsys):
+    code, out, err = run_cli(capsys, "verify", "--g-min", "5", "--g-max", "8")
+    assert (code, out, err) == (0, "\n".join(VERIFY_5_8_TEXT) + "\n", "")
+    code, out, err = run_cli(capsys, "verify", "--g-min", "5", "--g-max", "8", "--format", "csv")
+    masked = re.sub(r",[0-9]+$", ",0", out, flags=re.MULTILINE)
+    assert (code, err, masked.count(",0\n")) == (0, "", 21)
+    assert hashlib.sha256(masked.encode()).hexdigest() == VERIFY_5_8_CSV_DIGEST
+
+
 def test_verify_config_file(capsys, tmp_path):
     config = tmp_path / "sweep.cfg"
     config.write_text("# sweep range\ng-min = 5\ng-max = 5\n")
@@ -512,11 +539,12 @@ def test_config_is_checked_line_by_line(capsys, tmp_path):
     # a bad value is refused even where a flag overrides its key
     config.write_text("g-min = five\n")
     code, out, err = run_cli(capsys, "verify", "--config", str(config), "--g-min", "5", "--g-max", "5")
-    assert (code, out, err) == (1, "", f"usage error: {config}: key 'g-min' must be an integer, got 'five'\n")
+    message = f"usage error: {config}:1: key 'g-min' must be an integer, got 'five'\n"
+    assert (code, out, err) == (1, "", message)
     # the first bad line is the one reported
     config.write_text("genus = 5\ng-min five\n")
     code, out, err = run_cli(capsys, "verify", "--config", str(config))
-    assert (code, out, err) == (1, "", f"usage error: {config}: unknown key 'genus'\n")
+    assert (code, out, err) == (1, "", f"usage error: {config}:1: unknown key 'genus'\n")
     config.write_text("g-max = 5\ng-min five\ngenus = 5\n")
     code, out, err = run_cli(capsys, "verify", "--config", str(config))
     assert (code, out, err) == (1, "", f"usage error: {config}:2: expected 'key = value'\n")
@@ -529,6 +557,10 @@ def test_config_refuses_a_repeated_key(capsys, tmp_path):
     for flags in ((), ("--g-min", "5")):
         code, out, err = run_cli(capsys, "verify", "--config", str(config), *flags)
         assert (code, out, err) == (1, "", f"usage error: {config}:3: duplicate key 'g-min'\n")
+    # also when the repeat sets the value the first line set
+    config.write_text("g-min = 5\ng-min = 5\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(config), "--g-max", "5")
+    assert (code, out, err) == (1, "", f"usage error: {config}:2: duplicate key 'g-min'\n")
 
 
 def test_config_may_start_with_a_byte_order_mark(capsys, tmp_path):

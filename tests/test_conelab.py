@@ -317,6 +317,8 @@ def _record(**changes):
     (_record(rayX=" 3/4 "), "rayX"),
     (_record(rayTheta="+6/5"), "rayTheta"),
     (_record(rayTheta="1e3"), "rayTheta"),
+    (_record(rayX="1."), "rayX"),
+    (_record(rayTheta="-2."), "rayTheta"),
     (_record(g=-5, d=100), "'g'/'d'.*g=-5, d=100"),
     (_record(d=1), "'g'/'d'.*g=6, d=1"),
     (_record(d=6), "'g'/'d'.*g=6, d=6"),

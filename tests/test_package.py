@@ -256,6 +256,23 @@ def test_as_integer_ratio_only_in_ratio():
     assert stray == []
 
 
+def test_one_integer_checker():
+    """`nsring._require_ints` is the one function that words "must be an int, got", for records'
+    fields and functions' arguments alike; the helper it replaced is gone."""
+    wording = []
+    for name, tree in _trees():
+        enclosing = {}
+        for node in ast.walk(tree):  # breadth first, so an inner function overwrites its outer one
+            if isinstance(node, ast.FunctionDef):
+                enclosing.update(dict.fromkeys(map(id, ast.walk(node)), node.name))
+        wording += [f"{name}: {enclosing.get(id(node))}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "must be an int, got" in node.value]
+    assert wording == ["nsring.py: _require_ints"]
+    assert [path.name for path in PACKAGE.glob("*.py")
+            if "_require_int_args" in path.read_text(encoding="utf-8")] == []
+
+
 def test_printers_write_no_fraction_through_str(monkeypatch):
     """Every printer writes exact values through `nsring._lowest_terms`, never `Fraction.__str__`."""
     import io
