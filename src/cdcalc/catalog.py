@@ -21,8 +21,6 @@ negative upper argument via the falling-factorial convention
 so e.g. binom(-2, j) = (-1)^j (j+1).
 """
 
-from __future__ import annotations
-
 from math import comb, factorial, perm
 
 from . import _EXPORTS

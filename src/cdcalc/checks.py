@@ -19,8 +19,6 @@ indent=2)` would, without `json.dumps`'s pure-Python encoder, which it runs
 whenever an indent is set.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import time

@@ -8,8 +8,6 @@ corresponding catalogued class instead.  The ambient (g, d) is always an
 explicit flag pair; nothing is inferred from class names.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import re
@@ -18,8 +16,11 @@ from functools import cache
 
 # Only the ring is imported here.  With no bytecode cache a call compiles every
 # module it imports, so `catalog` and `conelab` are imported by the code that
-# uses them, and a call loads only what its verb runs.
-from .nsring import Ambient, NSClass, _of, _over_lcm, eval_top, format_class, format_rational, pair
+# uses them, and a call loads only what its verb runs.  `eval` and `pair` print
+# the ring's integer (numerator, denominator) pairs, so `fractions` is loaded
+# only by the verbs that build a Fraction: `cone` and `verify`.
+from .nsring import (Ambient, NSClass, _eval_top, _lowest_terms, _of, _over_lcm, _pair, format_class,
+                     format_rational)
 
 
 class UsageError(Exception):
@@ -49,27 +50,41 @@ def integer(text: str) -> int:
     return int(text)
 
 
-# One signed term: sign, numerator, optional denominator, then an x factor and
-# a theta factor, each optional and each with an optional exponent.  Spaces and
-# tabs may follow every token.  Factors in another order or number are read
-# one at a time by _FACTOR after the term's match.  No two blank runs may
-# meet: on a failed match the engine would try every split of the blanks
-# between them, quadratic in their length.  Each optional group is written
-# `(?:X|)`, not `(?:X)?`: the same language, tried in the same order, which
-# `re` runs as a branch instead of a repeat that saves its marks, about a
-# third faster.  Possessive forms would be faster still, but need 3.11.
-_TERM = re.compile(
-    r"[ \t]*(?:([+-])[ \t]*|)([0-9]+)[ \t]*"
-    r"(?:/[ \t]*([0-9]+)[ \t]*|)"
-    r"(?:\*[ \t]*(x)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*|)|)"
-    r"(?:\*[ \t]*(theta)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*|)|)"
-)
-_FACTOR = re.compile(r"\*[ \t]*(x|theta)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*|)")
-_BLANKS = re.compile(r"[ \t]*")
-# Its match ends at the first character outside the alphabet: ASCII only, so
-# every error position is also a byte offset.
-_ALPHABET = re.compile(r"(?:theta|[0-9 \t+*/^x-])*")
-_DIGIT_RUNS = re.compile(r"[0-9]+")
+@cache
+def _patterns() -> tuple[re.Pattern, ...]:
+    """The parser's patterns (term, factor, blanks, alphabet, digit runs), compiled on the first parse.
+
+    Compiling them takes about a millisecond, which a call that parses no
+    class expression does not pay.
+
+    A term is a sign, a numerator, an optional denominator, then an x factor
+    and a theta factor, each optional and each with an optional exponent.
+    Spaces and tabs may follow every token.  Factors in another order or
+    number are read one at a time by the factor pattern after the term's
+    match.  No two blank runs may meet: on a failed match the engine would
+    try every split of the blanks between them, quadratic in their length.
+    Each optional group is written `(?:X|)`, not `(?:X)?`: the same language,
+    tried in the same order, which `re` runs as a branch instead of a repeat
+    that saves its marks, about a third faster.  Possessive forms would be
+    faster still, but need 3.11.
+
+    The alphabet's match ends at the first character outside it: ASCII only,
+    so every error position is also a byte offset.
+    """
+    return (
+        re.compile(
+            r"[ \t]*(?:([+-])[ \t]*|)([0-9]+)[ \t]*"
+            r"(?:/[ \t]*([0-9]+)[ \t]*|)"
+            r"(?:\*[ \t]*(x)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*|)|)"
+            r"(?:\*[ \t]*(theta)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*|)|)"
+        ),
+        re.compile(r"\*[ \t]*(x|theta)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*|)"),
+        re.compile(r"[ \t]*"),
+        re.compile(r"(?:theta|[0-9 \t+*/^x-])*"),
+        re.compile(r"[0-9]+"),
+    )
+
+
 # What the grammar wants after each operator.
 _OPERANDS = {"+": "a rational coefficient", "-": "a rational coefficient",
              "/": "an integer denominator", "*": "'x' or 'theta' after '*'", "^": "an integer exponent"}
@@ -83,8 +98,9 @@ def _syntax_error(expr: str, message: str, position: int) -> ClassSyntaxError:
     int-string limit (a ValueError from `int`), whichever comes first, is
     reported ahead of any grammar error.
     """
-    bad = _ALPHABET.match(expr).end()
-    for digits in _DIGIT_RUNS.findall(expr, 0, bad):
+    *_, alphabet, digit_runs = _patterns()
+    bad = alphabet.match(expr).end()
+    for digits in digit_runs.findall(expr, 0, bad):
         int(digits)
     if bad < len(expr):
         return ClassSyntaxError(f"unexpected character {expr[bad]!r}", bad)
@@ -93,7 +109,8 @@ def _syntax_error(expr: str, message: str, position: int) -> ClassSyntaxError:
 
 def _missing_operand(expr: str, op: int) -> ClassSyntaxError:
     """The error for the operator at offset `op`, which the grammar wants an operand after."""
-    at = _BLANKS.match(expr, op + 1).end()
+    blanks = _patterns()[2]
+    at = blanks.match(expr, op + 1).end()
     if at == len(expr):
         return _syntax_error(expr, "unexpected end of expression", at)
     return _syntax_error(expr, f"expected {_OPERANDS[expr[op]]}", at)
@@ -120,11 +137,12 @@ def parse_class(expr: str, amb: Ambient) -> NSClass:
     rather than silently truncated: explicit user input should not vanish.
     """
     read: list[tuple[tuple[int, int], int, int]] = []  # (key, numerator, denominator) per term
+    term, factors, blanks, *_ = _patterns()
     end = 0
     while True:
-        m = _TERM.match(expr, end)
+        m = term.match(expr, end)
         if m is None:  # no coefficient where a term starts
-            at = _BLANKS.match(expr, end).end()
+            at = blanks.match(expr, end).end()
             if at == len(expr):
                 raise _syntax_error(expr, "empty class expression", 0)
             if expr[at] in "+-":
@@ -141,7 +159,7 @@ def parse_class(expr: str, amb: Ambient) -> NSClass:
         j = (int(theta_power) if theta_power else 1) if theta else 0
         end = m.end()
         while expr.startswith("*", end):
-            factor = _FACTOR.match(expr, end)
+            factor = factors.match(expr, end)
             if factor is None:
                 raise _missing_operand(expr, end)
             name, power = factor.groups()
@@ -282,14 +300,14 @@ def cmd_class(args) -> int:
 
 def cmd_eval(args) -> int:
     amb = Ambient(args.g, args.d)
-    value = format_rational(eval_top(resolve_class(args.expr, amb)))
+    value = _lowest_terms(*_eval_top(resolve_class(args.expr, amb)))
     _emit(args, [value], {"g": args.g, "d": args.d, "expr": args.expr, "value": value})
     return 0
 
 
 def cmd_pair(args) -> int:
     amb = Ambient(args.g, args.d)
-    value = format_rational(pair(resolve_class(args.a, amb), resolve_class(args.b, amb)))
+    value = _lowest_terms(*_pair(resolve_class(args.a, amb), resolve_class(args.b, amb)))
     _emit(args, [value], {"g": args.g, "d": args.d, "a": args.a, "b": args.b, "value": value})
     return 0
 
@@ -433,24 +451,25 @@ def _verbs() -> dict:
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser for `argv`: every verb with its help line, flags only where they can be read.
+    """The parser for `argv`: only the verb that `argv` starts with, else every verb.
 
     When `argv` starts with a verb, argparse hands the rest to that verb
-    alone, so only its subparser gets flags.  Otherwise (no `argv`, or one
-    that starts with an option or an unknown word) every verb gets its
-    flags: argparse may still pick a verb, as in `-x eval`, and must report
-    that verb's own errors.
+    alone, and the CLI prints no top-level usage on an error, so only that
+    verb's subparser is built.  Otherwise (no `argv`, or one that starts with
+    an option or an unknown word) every verb is built with its flags:
+    argparse may list the verbs, or still pick one, as in `-x eval`, and
+    must report that verb's own errors.
     """
     table = _verbs()
-    chosen = argv[0] if argv and argv[0] in table else None
+    if argv and argv[0] in table:
+        table = {argv[0]: table[argv[0]]}
     parser = _Parser(prog="cdcalc", description=__doc__.splitlines()[0])
     verbs = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
     for verb, (text, handler, flags, formats) in table.items():
         sub = verbs.add_parser(verb, help=text)
-        if chosen in (None, verb):
-            for flag, options in flags().items():
-                sub.add_argument(flag, **options)
-            sub.add_argument("--format", choices=formats, default="text")
+        for flag, options in flags().items():
+            sub.add_argument(flag, **options)
+        sub.add_argument("--format", choices=formats, default="text")
         sub.set_defaults(handler=handler)
     return parser
 

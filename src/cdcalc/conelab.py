@@ -10,8 +10,6 @@ strength: a proved boundary ray, a bound by an honest effective divisor, a
 bound by a virtual divisor, or the exclusion of a direction from the cone.
 """
 
-from __future__ import annotations
-
 import re
 from enum import Enum
 from fractions import Fraction

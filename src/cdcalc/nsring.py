@@ -17,8 +17,9 @@ extended linearly.  The weight of x^k is a falling product of only d-k
 factors, so one call builds all the weights it needs in one pass, one factor
 at a time, down to the lowest x-exponent present.  `eval_top` and `pair`
 share that path: each side's integer numerators are summed against the
-weights, and a single Fraction is built at the end.  `pair` never builds
-the product class.
+weights into one (numerator, denominator) pair, which the CLI prints as it
+is and the public functions return as a single Fraction.  `pair` never
+builds the product class.
 
 A class holds integer numerators over one denominator (see `NSClass`), so
 the ring operations, `eval_top`, `pair` and `catalog.pushpull` run in
@@ -27,6 +28,11 @@ integers.  `_ratio` reads every exact input, `_over_lcm` is the one place
 `NSClass` and `cli.parse_class`), and `_lowest_terms` writes every exact
 value, so Fractions are built only at the edges: `terms()`, `coefficient()`,
 pickling, the reciprocal in `/` and the scalars `eval_top` and `pair` return.
+`fractions` (with `decimal` and `numbers`) is imported by the first edge that
+returns a Fraction, through `_fraction`; a command that prints integers and
+classes never loads it.  No Fraction can exist before that module is loaded,
+so `_ratio` and the scalar operators look for its class in `sys.modules`
+only when a value is not an int, and never import it.
 
 The class-building path (`_of`, `NSClass`, `format_class`, `eval_top`,
 `pair`) fills its maps and lists with plain loops, not comprehensions.  On
@@ -46,9 +52,7 @@ and the print table (see `format_class`), keyed by the same stored keys;
 both only ever gain entries, through the atomic `dict.setdefault`.
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
+import sys
 from functools import cache
 from math import gcd, lcm
 from operator import attrgetter, itemgetter
@@ -57,17 +61,36 @@ from . import _EXPORTS
 
 __all__ = list(_EXPORTS["nsring"])
 
-RationalInput = int | Fraction
+
+@cache
+def _fraction():
+    """The Fraction class, imported by the first edge that returns one."""
+    from fractions import Fraction
+
+    return Fraction
 
 
-def _ratio(value: RationalInput) -> tuple[int, int]:
+def _fraction_types() -> tuple:
+    """(Fraction,) once `fractions` is loaded, else (): for the scalar operators' test of a value that is
+    not an int.  No Fraction exists before the module is loaded, so it is read, never imported."""
+    fractions = sys.modules.get("fractions")
+    return () if fractions is None else (fractions.Fraction,)
+
+
+def _ratio(value: "int | Fraction") -> tuple[int, int]:
     """The one reader of an exact input: (numerator, denominator > 0) as plain ints, in lowest terms.
 
-    Anything but an int (a bool reads as 0 or 1) or a Fraction raises TypeError.
+    Anything but an int (a bool reads as 0 or 1) or a Fraction raises TypeError.  A plain int is
+    tested first; the Fraction class is read from `sys.modules` inline, as in `_fraction_types`,
+    since this runs once per term and a call would cost as much as the test.
     """
-    if type(value) is Fraction or isinstance(value, int):
+    kind = type(value)
+    if kind is int:
         return value.as_integer_ratio()
-    raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__}")
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and kind is fractions.Fraction or isinstance(value, int):
+        return value.as_integer_ratio()
+    raise TypeError(f"coefficients must be int or Fraction, got {kind.__name__}")
 
 
 def _require_ints(owner: str, **values) -> None:
@@ -188,7 +211,7 @@ class Ambient(Record):
     def theta(self) -> "NSClass":
         return NSClass(self, {(0, 1): 1})
 
-    def monomial(self, i: int, j: int, coeff: RationalInput = 1) -> "NSClass":
+    def monomial(self, i: int, j: int, coeff: "int | Fraction" = 1) -> "NSClass":
         return NSClass(self, {(i, j): coeff})
 
     def __str__(self) -> str:
@@ -236,11 +259,12 @@ class NSClass(Record):
 
     # -- inspection ---------------------------------------------------------
 
-    def terms(self) -> dict[tuple[int, int], Fraction]:
-        return {key: Fraction(n, self.den) for key, n in self._terms.items()}
+    def terms(self) -> "dict[tuple[int, int], Fraction]":
+        fraction = _fraction()
+        return {key: fraction(n, self.den) for key, n in self._terms.items()}
 
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return Fraction(self._terms.get((i, j), 0), self.den)
+    def coefficient(self, i: int, j: int) -> "Fraction":
+        return _fraction()(self._terms.get((i, j), 0), self.den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -294,20 +318,20 @@ class NSClass(Record):
                         continue
                     product[key] = product.get(key, 0) + n1 * n2
             return _of(self.ambient, product, self.den * other.den)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or isinstance(other, _fraction_types()):
             num, den = _ratio(other)
             return _of(self.ambient, {key: n * num for key, n in self._terms.items()}, self.den * den)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or isinstance(other, _fraction_types()):
             return self * other
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or isinstance(other, _fraction_types()):
             num, den = _ratio(other)
-            return self * Fraction(den, num)
+            return self * _fraction()(den, num)
         return NotImplemented
 
     def __pow__(self, exponent: int):
@@ -356,7 +380,7 @@ def _of(ambient: Ambient, nums: dict, den: int) -> NSClass:
     return NSClass._make(ambient, den, terms)
 
 
-def format_rational(q: RationalInput) -> str:
+def format_rational(q: "int | Fraction") -> str:
     """Canonical string for an exact rational: "p/q", or "p" when integral."""
     return _lowest_terms(*_ratio(q))
 
@@ -432,36 +456,46 @@ def _check_evaluable(amb: Ambient) -> None:
         raise ValueError(f"evaluation undefined: requires d <= g, got {amb}")
 
 
-def eval_top(c: NSClass) -> Fraction:
+def eval_top(c: NSClass) -> "Fraction":
     """Evaluate a top-degree class as a rational number.
 
     By the Poincare formula, x^k theta^(d-k) = g!/(g-d+k)! on C_d when
     d <= g; the input must be homogeneous of degree exactly d (the zero
     class is allowed and evaluates to 0).
     """
+    return _fraction()(*_eval_top(c))
+
+
+def _eval_top(c: NSClass) -> tuple[int, int]:
+    """`eval_top`'s value as (numerator, denominator > 0), not necessarily in lowest terms."""
     g, d = c.ambient.g, c.ambient.d
     _check_evaluable(c.ambient)
     if c.is_zero():
-        return Fraction(0)
+        return 0, 1
     if c.pure_degree() != d:
         raise ValueError(f"not a top-degree class: need pure degree {d}, got {format_class(c)}")
     weights, total = _top_weights(g, d, min(c._terms)[0]), 0  # the least key has the least x-exponent
     for (i, _j), n in c._terms.items():
         total += n * weights[d - i]
-    return Fraction(total, c.den)
+    return total, c.den
 
 
-def pair(a: NSClass, b: NSClass) -> Fraction:
+def pair(a: NSClass, b: NSClass) -> "Fraction":
     """Intersection pairing of classes of complementary degree.
 
     Equals eval_top(a * b), but never builds the product class: both sides
     go over a common denominator and the sum of n1 * n2 * g!/(g-d+i1+i2)!
     runs in integers.  Symmetric and bilinear over exact rational scalars.
     """
+    return _fraction()(*_pair(a, b))
+
+
+def _pair(a: NSClass, b: NSClass) -> tuple[int, int]:
+    """`pair`'s value as (numerator, denominator > 0), not necessarily in lowest terms."""
     a._require_same_ambient(b)
     _check_evaluable(a.ambient)
     if a.is_zero() or b.is_zero():
-        return Fraction(0)
+        return 0, 1
     da, db = a.pure_degree(), b.pure_degree()
     if da is None or db is None or da + db != a.ambient.d:
         raise ValueError(
@@ -476,7 +510,7 @@ def pair(a: NSClass, b: NSClass) -> Fraction:
         for (i2, _j2), n2 in b._terms.items():
             inner += n2 * weights[top - i2]
         total += n1 * inner
-    return Fraction(total, a.den * b.den)
+    return total, a.den * b.den
 
 
 def canonical_class(amb: Ambient) -> NSClass:

@@ -4,14 +4,20 @@
 
 Each interpreter runs this script with no arguments, which checks the
 interpreter running it: the command-line and bound-catalogue digests of
-`tests/test_output_gate.py`, and the masked 5..40 and 5..120 sweep digests
-in `SWEEP_DIGESTS` (the one copy, which `tests/test_checks.py` reads).  It
-prints one line per interpreter and exits 1 if any digest differs or an
+`tests/test_output_gate.py`, the masked 5..40 and 5..120 sweep digests in
+`SWEEP_DIGESTS` (the one copy, which `tests/test_checks.py` reads), and
+that every argv in `tests/test_package.py`'s `EDGE_ARGV` gets the same exit
+code, stdout and stderr from the parser `cli.main` builds for it as from the
+parser with every verb.  Argparse's text differs between versions, so that
+check compares the two parsers on one interpreter, not with pinned text.  It
+prints one line per interpreter and exits 1 if any check differs or an
 interpreter fails to run.  Standard library only: pytest need not be
 installed for the interpreters checked.
 """
 
+import contextlib
 import hashlib
+import io
 import pathlib
 import platform
 import subprocess
@@ -32,8 +38,31 @@ def sweep_digest(g_min: int, g_max: int) -> str:
     return hashlib.sha256(report_json(run_all(g_min, g_max), include_timing=False).encode()).hexdigest()
 
 
+def edge_argv_differ() -> bool:
+    """Whether an argv of `EDGE_ARGV` gets another answer from `cli.main` with every verb's parser."""
+    from cdcalc import cli
+    from test_package import EDGE_ARGV
+
+    def outcome(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    answers = [outcome(argv) for argv in EDGE_ARGV]
+    build_parser = cli.build_parser
+    cli.build_parser = lambda argv=None: build_parser()
+    try:
+        return [outcome(argv) for argv in EDGE_ARGV] != answers
+    finally:
+        cli.build_parser = build_parser
+
+
 def differing() -> list[str]:
-    """The names of the digests that differ from their pinned values on this interpreter."""
+    """The names of the checks that fail on this interpreter: digests that differ, or the edge argv."""
     sys.path.insert(0, str(TESTS.parent / "src"))
     import test_output_gate as gate
 
@@ -46,6 +75,8 @@ def differing() -> list[str]:
             found.append(name)
     found += [f"sweep {g_min}..{g_max}" for (g_min, g_max), digest in SWEEP_DIGESTS.items()
               if sweep_digest(g_min, g_max) != digest]
+    if edge_argv_differ():
+        found.append("edge argv")
     return found
 
 

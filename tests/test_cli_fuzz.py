@@ -13,8 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cdcalc import NAMED_CLASSES, Ambient, CurveClass, NSClass, format_class
-from cdcalc.cli import _FACTOR, _TERM, ClassSyntaxError, main, parse_class
+from cdcalc.cli import ClassSyntaxError, _patterns, main, parse_class
 from parser_oracle import FACTOR, TERM, parse_class as reference_parse_class
+
+_TERM, _FACTOR = _patterns()[:2]  # the package's term and factor patterns
 
 # |g| <= 14 keeps verify sweeps and named-class builders quick; mostly positive, so some calls succeed.
 small_ints = st.one_of(st.integers(1, 14), st.integers(-14, 14)).map(str)
