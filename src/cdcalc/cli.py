@@ -8,11 +8,11 @@ corresponding catalogued class instead.  The ambient (g, d) is always an
 explicit flag pair; nothing is inferred from class names.
 """
 
-import argparse
 import os
 import re
 import sys
 from functools import cache
+from types import SimpleNamespace
 
 # Only the ring is imported here.  With no bytecode cache a call compiles every
 # module it imports, so `catalog` and `conelab` are imported by the code that
@@ -404,16 +404,11 @@ def cmd_verify(args) -> int:
 
 # -- argument parsing ---------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
 def _verbs() -> dict:
     """verb -> (help, handler, flags, formats), built per call so patched handlers are seen.
 
     `flags` is a function that returns the verb's flag table, so only a verb
-    whose flags are added builds it: `class` then imports the class table and
+    whose flags are read builds it: `class` then imports the class table and
     `cone` its curve classes.
     """
     required, optional = {"required": True}, {"type": integer}
@@ -450,7 +445,60 @@ def _verbs() -> dict:
     }
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+def _options(flags, formats) -> dict[str, dict]:
+    """A verb's flags with its `--format`: what `build_parser` adds and `_read_argv` reads."""
+    return {**flags(), "--format": {"choices": formats, "default": "text"}}
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse returns for a well-formed `argv`, read from the verb table, else None.
+
+    A well-formed argv is a verb, then exact flag names of that verb, each
+    once, as `--flag VALUE` or `--flag=VALUE`, with every required flag
+    given, integers that `integer` reads and values among the flag's
+    choices.  A value may not be empty, nor `--`, which argparse before 3.13
+    drops even after '='.  A separate value that starts with
+    '-' is read only in the one form argparse reads as a value on every
+    supported version: it holds a space and does not start with '--' or
+    '-h', as in `--expr "-1*x + 2*theta"`.  For any other argv (help, an
+    abbreviation, `--`, a repeated flag, any error) this returns None and
+    argparse reads it, writing the help and error text.  So a well-formed
+    call never imports argparse, nor the `gettext` and `locale` it loads.
+    """
+    table = _verbs()
+    if not argv or argv[0] not in table:
+        return None
+    _text, handler, flags, formats = table[argv[0]]
+    options = _options(flags, formats)
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        if not equals:
+            value = next(tokens, "")
+            if value.startswith("-") and (" " not in value or value[1] in "-h"):
+                return None
+        if flag not in options or flag in given or value in ("", "--"):
+            return None
+        given[flag] = value
+    read = {"verb": argv[0], "handler": handler}
+    for flag, option in options.items():
+        if flag not in given:
+            if option.get("required"):
+                return None
+            value = option.get("default")
+        else:
+            try:
+                value = option.get("type", str)(given[flag])
+            except ValueError:
+                return None
+            if value not in option.get("choices", (value,)):
+                return None
+        read[flag[2:].replace("-", "_")] = value
+    return SimpleNamespace(**read)
+
+
+def build_parser(argv: list[str] | None = None) -> "argparse.ArgumentParser":
     """The parser for `argv`: only the verb that `argv` starts with, else every verb.
 
     When `argv` starts with a verb, argparse hands the rest to that verb
@@ -460,6 +508,12 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     argparse may list the verbs, or still pick one, as in `-x eval`, and
     must report that verb's own errors.
     """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
     table = _verbs()
     if argv and argv[0] in table:
         table = {argv[0]: table[argv[0]]}
@@ -467,11 +521,27 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     verbs = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
     for verb, (text, handler, flags, formats) in table.items():
         sub = verbs.add_parser(verb, help=text)
-        for flag, options in flags().items():
+        for flag, options in _options(flags, formats).items():
             sub.add_argument(flag, **options)
-        sub.add_argument("--format", choices=formats, default="text")
         sub.set_defaults(handler=handler)
     return parser
+
+
+def _parse_args(argv: list[str]):
+    """argparse's reading of `argv`, for the argv `_read_argv` declines: help and every usage error.
+
+    argparse reads a separate value that starts with '-' as a flag, so
+    `--expr -1*x` is refused as a missing value; the error then names the
+    form that takes such a value.
+    """
+    try:
+        return build_parser(argv).parse_args(argv)
+    except UsageError as exc:
+        missing = re.fullmatch(r"argument (--[a-z-]+): expected one argument", str(exc))
+        if missing and any(token == missing[1] and following.startswith("-")
+                           for token, following in zip(argv, argv[1:])):
+            raise UsageError(f"{exc} (a value that starts with '-' is written {missing[1]}=VALUE)") from None
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -482,7 +552,9 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _read_argv(argv)
+        if args is None:
+            args = _parse_args(argv)
         return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

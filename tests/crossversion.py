@@ -5,11 +5,14 @@
 Each interpreter runs this script with no arguments, which checks the
 interpreter running it: the command-line and bound-catalogue digests of
 `tests/test_output_gate.py`, the masked 5..40 and 5..120 sweep digests in
-`SWEEP_DIGESTS` (the one copy, which `tests/test_checks.py` reads), and
-that every argv in `tests/test_package.py`'s `EDGE_ARGV` gets the same exit
+`SWEEP_DIGESTS` (the one copy, which `tests/test_checks.py` reads), that
+every argv in `tests/test_package.py`'s `EDGE_ARGV` gets the same exit
 code, stdout and stderr from the parser `cli.main` builds for it as from the
-parser with every verb.  Argparse's text differs between versions, so that
-check compares the two parsers on one interpreter, not with pinned text.  It
+parser with every verb, and that `cli._read_argv` reads the command-line
+digest's argv, the `EDGE_ARGV` and `reader_edge_argv()` as that
+interpreter's argparse does, or declines them.  Argparse's text, and its
+reading of values that start with '-', differ between versions, so those
+checks compare with argparse on one interpreter, not with pinned text.  It
 prints one line per interpreter and exits 1 if any check differs or an
 interpreter fails to run.  Standard library only: pytest need not be
 installed for the interpreters checked.
@@ -61,10 +64,61 @@ def edge_argv_differ() -> bool:
         cli.build_parser = build_parser
 
 
+# Values argparse reads by their form: a value or a flag, in their own token or
+# after '='.  `reader_edge_argv` puts each in place of each flag's value.
+TRICKY_VALUES = ["-5", "-1*x - 2*theta", "- 1*x", "-x", "-h", "-h 1", "--", "--g 6", "-", "", "6", "a=b",
+                 "-1/8*x^3*theta"]
+READER_BASES = [
+    ["eval", "--g", "6", "--d", "4", "--expr", "1*x^4"],
+    ["pair", "--g", "6", "--d", "4", "--a", "1*x", "--b", "1*theta^3"],
+    ["pushpull", "--g", "6", "--d", "2", "--k", "1", "--expr", "1*x"],
+    ["cone", "--curve", "general", "--g", "8", "--d", "6", "--query", "1*theta"],
+    ["class", "--name", "gamma", "--g", "6", "--d", "4", "--n", "5", "--r", "1"],
+    ["verify", "--g-min", "5", "--g-max", "5", "--format", "csv"],
+]
+
+
+def reader_edge_argv() -> list[list[str]]:
+    """Each base with each tricky value as each flag's value, in its own token and after '=', and
+    with a flag left out, abbreviated or repeated, or with `--` or `-h` before or after the flags."""
+    found = []
+    for verb, *flags in READER_BASES:
+        for at in range(0, len(flags), 2):
+            before, flag, after = flags[:at], flags[at], flags[at + 2:]
+            for value in TRICKY_VALUES:
+                found += [[verb, *before, flag, value, *after], [verb, *before, f"{flag}={value}", *after]]
+            found.append([verb, *before, *after])
+            if len(flag) > 4:
+                found.append([verb, *before, flag[:4], flags[at + 1], *after])
+        found += [[verb, *flags, *flags[:2]], [verb, "--", *flags], [verb, *flags, "--"],
+                  [verb, "-h", *flags], [verb, *flags, "-h"]]
+    return found
+
+
+def reader_disagreements(argvs) -> list[list[str]]:
+    """The argv that `cli._read_argv` reads, but not as `vars()` of argparse's namespace."""
+    from cdcalc import cli
+
+    found = []
+    for argv in argvs:
+        read = cli._read_argv(list(argv))
+        if read is None:  # declined: argparse reads it in `main`
+            continue
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                parsed = vars(cli.build_parser(list(argv)).parse_args(list(argv)))
+            except (cli.UsageError, SystemExit):
+                parsed = None
+        if vars(read) != parsed:
+            found.append(argv)
+    return found
+
+
 def differing() -> list[str]:
-    """The names of the checks that fail on this interpreter: digests that differ, or the edge argv."""
+    """The names of the checks that fail on this interpreter: digests, the edge argv, the argv reader."""
     sys.path.insert(0, str(TESTS.parent / "src"))
     import test_output_gate as gate
+    from test_package import EDGE_ARGV
 
     found = []
     for name, check in [("cli-queries", gate.test_cli_queries_output_is_byte_identical),
@@ -77,6 +131,8 @@ def differing() -> list[str]:
               if sweep_digest(g_min, g_max) != digest]
     if edge_argv_differ():
         found.append("edge argv")
+    if reader_disagreements([argv for argv, *_ in gate.cli_queries()] + EDGE_ARGV + reader_edge_argv()):
+        found.append("argv reader")
     return found
 
 

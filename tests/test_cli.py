@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -16,7 +17,8 @@ import pytest
 
 from cdcalc import Ambient, NSClass, diagonal_class, format_class
 from cdcalc.checks import CheckResult, Report
-from cdcalc.cli import ClassSyntaxError, integer, main, parse_class, resolve_class
+from cdcalc.cli import ClassSyntaxError, _read_argv, integer, main, parse_class, resolve_class
+import crossversion
 from conftest import random_class
 
 CLI_SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "cdcalc" / "cli.py"
@@ -638,5 +640,64 @@ def test_handlers_are_looked_up_when_the_parser_is_built(capsys, monkeypatch):
 def test_each_verb_is_declared_once():
     source = CLI_SOURCE.read_text(encoding="utf-8")
     assert source.count("add_parser(") == 1
+    assert source.count("add_argument(") == 1
     assert source.count('"--format"') == 1
     assert "type=int" not in source
+    # The parser and the argv reader read one table: no flag is named outside it.
+    tree = ast.parse(source)
+    table = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in ("_verbs", "_options"):
+            table.update(map(id, ast.walk(node)))
+    named = [f"cli.py:{node.lineno}: {node.value}" for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and re.fullmatch(r"--[a-z][a-z-]*", node.value) and id(node) not in table]
+    assert named == []
+    assert source.count("_options(flags, formats)") == 3  # defined, then read by the parser and the reader
+
+
+# -- the argv reader ------------------------------------------------------------
+
+def test_argv_reader_reads_as_argparse_does():
+    """`cli._read_argv` declines an argv or returns exactly argparse's namespace for it."""
+    from test_output_gate import cli_queries
+    from test_package import EDGE_ARGV
+
+    gate = [argv for argv, *_ in cli_queries()]
+    edges = crossversion.reader_edge_argv()
+    assert crossversion.reader_disagreements(gate + EDGE_ARGV + edges) == []
+    # The reader reads every command-line call the benchmark makes, and none of EDGE_ARGV.
+    assert [argv for argv in gate if _read_argv(argv) is None] == []
+    assert [argv for argv in EDGE_ARGV if _read_argv(argv) is not None] == []
+    # A separate value that starts with '-' is read only if it holds a space
+    # and starts with neither '-h' nor '--'.
+    read = {tuple(argv) for argv in edges if _read_argv(argv) is not None}
+    assert ("eval", "--g", "6", "--d", "4", "--expr", "-1*x - 2*theta") in read
+    assert ("eval", "--g", "6", "--d", "4", "--expr", "- 1*x") in read
+    assert ("eval", "--g", "6", "--d", "4", "--expr=-1/8*x^3*theta") in read
+    assert ("eval", "--g=6", "--d", "4", "--expr", "1*x^4") in read
+    for value in ("-5", "-x", "-h", "-h 1", "--", "--g 6", "-", ""):
+        assert ("eval", "--g", "6", "--d", "4", "--expr", value) not in read
+    for value in ("", "--"):
+        assert ("eval", "--g", "6", "--d", "4", f"--expr={value}") not in read
+    assert ("eval", "--g", "6", "--d", "4", "--expr", "1*x^4", "--g", "6") not in read  # a repeated flag
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["eval", "--g", "6", "--d", "4", "--expr", "{}"], "-1/8*x^3*theta"),
+    (["pair", "--g", "6", "--d", "4", "--a", "{}", "--b", "1*theta^3"], "-1*x"),
+    (["pair", "--g", "6", "--d", "4", "--a", "1*theta", "--b", "{}"], "-1*x^3"),
+    (["cone", "--curve", "general", "--g", "6", "--d", "4", "--query", "{}"], "-1*theta"),
+], ids=["expr", "a", "b", "query"])
+def test_a_value_that_starts_with_a_minus_is_written_after_equals(capsys, argv, value):
+    at = argv.index("{}")
+    flag = argv[at - 1]
+    code, out, err = run_cli(capsys, *argv[:at], value, *argv[at + 1:])
+    assert (code, out) == (1, "")
+    assert err == (f"usage error: argument {flag}: expected one argument "
+                   f"(a value that starts with '-' is written {flag}=VALUE)\n")
+    # With no value after the flag at all, argparse's message stands alone.
+    assert run_cli(capsys, *argv[:at], "1*x", flag)[2] == f"usage error: argument {flag}: expected one argument\n"
+    joined = run_cli(capsys, *argv[:at - 1], f"{flag}={value}", *argv[at + 1:])
+    assert joined == run_cli(capsys, *argv[:at], "0 " + value, *argv[at + 1:])
+    assert joined[0] == 0 and joined[2] == ""

@@ -1,7 +1,8 @@
 """Fuzzing the command line and its parser.
 
-Any argv ends in exit code 0, 1 or 2, never a traceback, and `parse_class`
-answers every string as the reference parser in `parser_oracle` does.
+Any argv ends in exit code 0, 1 or 2, never a traceback, `parse_class`
+answers every string as the reference parser in `parser_oracle` does, and
+the CLI's argv reader reads an argv as argparse does, or leaves it to it.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cdcalc import NAMED_CLASSES, Ambient, CurveClass, NSClass, format_class
 from cdcalc.cli import ClassSyntaxError, _patterns, main, parse_class
+from crossversion import reader_disagreements
 from parser_oracle import FACTOR, TERM, parse_class as reference_parse_class
 
 _TERM, _FACTOR = _patterns()[:2]  # the package's term and factor patterns
@@ -292,3 +294,19 @@ def large_class_or_cone_argvs(draw):
 @given(large_class_or_cone_argvs())
 def test_class_and_cone_at_large_magnitudes(argv):
     assert_documented_exit(argv)
+
+
+@st.composite
+def either_form(draw):
+    """A fuzzed argv, a verb and then flag-value pairs, with some pairs written `--flag=VALUE`."""
+    verb, *pairs = draw(st.one_of(argvs(), large_argvs(), large_class_or_cone_argvs()))
+    argv = [verb]
+    for flag, value in zip(pairs[::2], pairs[1::2]):
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(either_form())
+def test_argv_reader_reads_fuzzed_argv_as_argparse_does(argv):
+    assert reader_disagreements([argv]) == []

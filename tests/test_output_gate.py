@@ -35,9 +35,14 @@ def _workloads():
     return module
 
 
+def cli_queries() -> list:
+    """The (argv, expected-stdout thunk, masks micros?) of every call, seeds 1-30 in order."""
+    return [query for seed in range(1, 31) for query in _workloads().CliQueries(seed, str(ROOT)).queries]
+
+
 def cli_queries_digest() -> tuple[int, str]:
     """The number of argv run and the digest of what `main` returned and printed for them."""
-    queries = [query for seed in range(1, 31) for query in _workloads().CliQueries(seed, str(ROOT)).queries]
+    queries = cli_queries()
     digest = hashlib.sha256()
     for argv, _expected, masked in queries:
         out, err = io.StringIO(), io.StringIO()
