@@ -169,17 +169,17 @@ def pushpull(c: NSClass, k: int) -> NSClass:
     contribution is one integer product added into an int per output
     monomial, and no Fraction is built.
     """
-    _require_ints("pushpull argument", k=k)
+    if type(k) is not int:
+        _require_ints("pushpull argument", k=k)
     if k < 0:
         raise ValueError(f"push-pull index must be nonnegative, got k={k}")
-    amb = c.ambient
-    if k >= amb.d:
-        raise ValueError(f"push-pull index must satisfy k < d, got k={k} on C_{amb.d}")
-    target = Ambient._make(amb.g, amb.d - k)  # 1 <= d - k, and g is the source's
-    g = amb.g
+    g, d = c.ambient.g, c.ambient.d
+    if k >= d:
+        raise ValueError(f"push-pull index must satisfy k < d, got k={k} on C_{d}")
     out: dict[tuple[int, int], int] = {}
     for (a, b), n in c._terms.items():
-        j, last = max(0, k - a), min(k, b)
+        j = k - a if k > a else 0  # max(0, k - a) and min(k, b), without the calls
+        last = k if k < b else b
         if j > last:
             continue
         rising = perm(g - b + j, j) if b <= g else binom(g - b + j, j) * factorial(j)
@@ -193,7 +193,7 @@ def pushpull(c: NSClass, k: int) -> NSClass:
             i += 1
             j += 1
             weight = weight * (k - j + 1) * (b - j + 1) * (g - b + j) // (i * j)
-    return _of(target, out, c.den)
+    return _of(Ambient._make(g, d - k), out, c.den)  # 1 <= d - k, and g is the source's
 
 
 def dm_class(g: int, m: int) -> NSClass:
@@ -207,7 +207,8 @@ def dm_class(g: int, m: int) -> NSClass:
     are checked first, so an m out of range builds no binomial, and they make
     C_{g-2m} a valid ambient: g >= 2m + 2 >= 4, so binom(g, m) is comb(g, m).
     """
-    _require_ints("dm_class argument", g=g, m=m)
+    if type(g) is not int or type(m) is not int:
+        _require_ints("dm_class argument", g=g, m=m)
     if m < 1 or 2 * m > g - 2:
         raise ValueError(f"m out of range: need 1 <= m <= g/2 - 1, got g={g}, m={m}")
     scale = comb(g, m)
@@ -249,8 +250,8 @@ def chern_character(amb: Ambient, rank: int, degree: int, max_degree: int) -> NS
     falling = _top_weights(max_degree, max_degree, 0)  # entry k: max_degree!/(max_degree-k)!
     exp_minus_x = _of(amb, {(k, 0): (-1) ** k * falling[max_degree - k] for k in range(max_degree + 1)},
                       falling[-1])
-    linear = NSClass(amb, {(0, 0): excess, (0, 1): r})
-    constant = NSClass(amb, {(0, 0): f + r * (1 - g)})
+    linear = _of(amb, {(0, 0): excess, (0, 1): r}, 1)
+    constant = _of(amb, {(0, 0): f + r * (1 - g)}, 1)
     return (constant + linear * exp_minus_x).truncate_degree(max_degree)
 
 
@@ -323,7 +324,7 @@ def mult_degeneracy_class(g: int, d: int, r: int) -> NSClass:
     n = 2 * g - 2 + r * (g - d) + 1  # degree of the canonical twist K_C (x) L
     induced_det = -system_c1(amb, SystemData(1, n, d))
     cls = induced_det - (r + 1) * (-canonical_class(amb))
-    expected = NSClass(amb, {(0, 1): r, (1, 0): -(r + 1)})
+    expected = _of(amb, {(0, 1): r, (1, 0): -(r + 1)}, 1)
     if cls != expected:
         raise ArithmeticError(
             f"degeneracy class failed to simplify: {cls} != {expected}"

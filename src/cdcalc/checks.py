@@ -21,11 +21,11 @@ whenever an indent is set.
 
 import csv
 import io
-import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import comb
 from operator import attrgetter
+from time import perf_counter_ns
 
 from . import _EXPORTS, __version__
 from .catalog import (
@@ -42,7 +42,7 @@ from .catalog import (
     system_c1,
     twisted_kernel_class,
 )
-from .nsring import Ambient, NSClass, Record, _require_ints, format_class, format_rational, pair
+from .nsring import Ambient, NSClass, Record, _of, _pairs, _require_ints, format_class, format_rational, pair
 
 __all__ = list(_EXPORTS["checks"])
 
@@ -149,7 +149,8 @@ def check_pencil_pairings(g: int) -> tuple:
         raise ValueError(f"pencil pairings need g >= 5, got g={g}")
     amb = Ambient(g, g - 2)
     gamma = subordinate_class(amb, LinearSeries(g - 1, 1))
-    ring_path = (pair(amb.theta(), gamma), pair(amb.x(), gamma), pair(dm_class(g, 1), gamma))
+    # `pair` of each side against gamma; theta and x are each paired once, dm_class's terms reuse them
+    ring_path = tuple([Fraction(*value) for value in _pairs(gamma, (amb.theta(), amb.x(), dm_class(g, 1)))])
     s_theta, s_x = pairing_sum_theta(g), pairing_sum_x(g)
     oracle_path = (s_theta, s_x, (g - 2) * s_theta - g * s_x)
     return ring_path, oracle_path, ring_path == oracle_path == (g, g - 2, 0)
@@ -175,7 +176,7 @@ def check_kernel_decomposition(g: int) -> tuple:
     data = KernelBundleData(base_degree=2 * g - 3, base_sections=g - 1)
     twisted = twisted_kernel_class(g, data, kernel_twist_h1(data))
     decomposition = dm_class(g, 1) + Ambient(g, g - 2).x()
-    literal = NSClass(Ambient(g, g - 2), {(0, 1): g - 2, (1, 0): -(g - 1)})
+    literal = _of(Ambient(g, g - 2), {(0, 1): g - 2, (1, 0): -(g - 1)}, 1)
     return twisted, decomposition, twisted == decomposition == literal and twisted.ambient.d == g - 2
 
 
@@ -226,23 +227,23 @@ def check_mult_and_chern(g: int, d: int, r: int, f: int) -> tuple:
     """
     amb = Ambient(g, d)
     mult = mult_degeneracy_class(g, d, r)
-    mult_literal = NSClass(amb, {(0, 1): r, (1, 0): -(r + 1)})
     ch = chern_character(amb, r, f, min(2, d))
     det = system_c1(amb, SystemData(r, f, r * d))
+    # The literals are built unchecked: the calls above have checked r and f as ints.
     lhs = [mult, ch.homogeneous_part(0), ch.homogeneous_part(1)]
-    rhs = [mult_literal, NSClass(amb, {(0, 0): r * d}), det]
+    rhs = [_of(amb, {(0, 1): r, (1, 0): -(r + 1)}, 1), _of(amb, {(0, 0): r * d}, 1), det]
     if d >= 2:
         lhs.append(ch.homogeneous_part(2))
-        rhs.append(NSClass(amb, {(2, 0): Fraction(r * d + r * g - f - r, 2), (1, 1): -r}))
+        rhs.append(_of(amb, {(2, 0): r * d + r * g - f - r, (1, 1): -2 * r}, 2))
     return tuple(lhs), tuple(rhs), all(a == b for a, b in zip(lhs, rhs))
 
 
 # -- suite --------------------------------------------------------------------
 
 def _run(check_id: str, fn, params: dict) -> CheckResult:
-    start = time.perf_counter_ns()
+    start = perf_counter_ns()
     lhs, rhs, passed = fn(**params)
-    micros = max(0, (time.perf_counter_ns() - start) // 1000)
+    micros = max(0, (perf_counter_ns() - start) // 1000)
     lhs_text = _render(lhs)
     # Equal values render alike (class term maps are canonical), so a passing row renders once.
     rhs_text = lhs_text if passed and lhs == rhs else _render(rhs)
@@ -292,17 +293,20 @@ def _json(value) -> str:
 def _json_row(c: CheckResult, micros: int) -> str:
     # `CheckResult` holds `params` mapping str to int, a bool `passed` and an int `micros`, so those
     # are written directly; the other fields go through `_json`, which refuses what is not JSON.
-    at, params = "      ", c.params
+    # The indents are written out: each substituted piece costs a step in the f-string.
+    params = c.params
     if params:
         lines = []
         for key in sorted(params):
-            lines.append(f"{at}  {encode_basestring_ascii(key)}: {params[key]}")
-        params = "{\n" + ",\n".join(lines) + f"\n{at}}}"
+            lines.append(f"        {encode_basestring_ascii(key)}: {params[key]}")
+        params = "{\n" + ",\n".join(lines) + "\n      }"
     else:
         params = "{}"
-    return (f'    {{\n{at}"id": {_json(c.check_id)},\n{at}"params": {params},\n'
-            f'{at}"lhs": {_json(c.lhs)},\n{at}"rhs": {_json(c.rhs)},\n'
-            f'{at}"passed": {"true" if c.passed else "false"},\n{at}"micros": {micros}\n    }}')
+    lhs = _json(c.lhs)
+    rhs = lhs if c.rhs is c.lhs else _json(c.rhs)  # `_run` gives a passing row one text for both sides
+    return (f'    {{\n      "id": {_json(c.check_id)},\n      "params": {params},\n'
+            f'      "lhs": {lhs},\n      "rhs": {rhs},\n'
+            f'      "passed": {"true" if c.passed else "false"},\n      "micros": {micros}\n    }}')
 
 
 def report_json(report: Report, include_timing: bool = True) -> str:

@@ -532,8 +532,20 @@ def _parse_args(argv: list[str]):
 
     argparse reads a separate value that starts with '-' as a flag, so
     `--expr -1*x` is refused as a missing value; the error then names the
-    form that takes such a value.
+    form that takes such a value.  A verb's flag (or an abbreviation of one)
+    given the value `--` after '=' is refused before argparse reads it:
+    argparse before 3.13 hands the handler an empty list for it, 3.13 the
+    text `--`.
     """
+    table = _verbs()
+    if argv and argv[0] in table:
+        names = _options(*table[argv[0]][2:])
+        for token in argv[1:argv.index("--") if "--" in argv else None]:
+            flag, _equals, value = token.partition("=")
+            if value == "--":
+                named = [flag] if flag in names else [name for name in names if name.startswith(flag)]
+                if len(named) == 1:
+                    raise UsageError(f"argument {named[0]}: '--' is not a value")
     try:
         return build_parser(argv).parse_args(argv)
     except UsageError as exc:

@@ -19,7 +19,9 @@ at a time, down to the lowest x-exponent present.  `eval_top` and `pair`
 share that path: each side's integer numerators are summed against the
 weights into one (numerator, denominator) pair, which the CLI prints as it
 is and the public functions return as a single Fraction.  `pair` never
-builds the product class.
+builds the product class, and `_pairs` pairs several classes with one class,
+pairing each monomial they hold once (the pencil pairings of the verification
+sweep).
 
 A class holds integer numerators over one denominator (see `NSClass`), so
 the ring operations, `eval_top`, `pair` and `catalog.pushpull` run in
@@ -199,17 +201,18 @@ class Ambient(Record):
             raise ValueError(f"symmetric power index must be at least 1, got d={d}")
         super().__init__(g, d)
 
+    # The four constant classes are already exact and of degree at most 1 <= d: `_of` builds them.
     def zero(self) -> "NSClass":
-        return NSClass(self, {})
+        return _of(self, {}, 1)
 
     def one(self) -> "NSClass":
-        return NSClass(self, {(0, 0): 1})
+        return _of(self, {(0, 0): 1}, 1)
 
     def x(self) -> "NSClass":
-        return NSClass(self, {(1, 0): 1})
+        return _of(self, {(1, 0): 1}, 1)
 
     def theta(self) -> "NSClass":
-        return NSClass(self, {(0, 1): 1})
+        return _of(self, {(0, 1): 1}, 1)
 
     def monomial(self, i: int, j: int, coeff: "int | Fraction" = 1) -> "NSClass":
         return NSClass(self, {(i, j): coeff})
@@ -285,7 +288,7 @@ class NSClass(Record):
     # -- ring structure -----------------------------------------------------
 
     def _require_same_ambient(self, other: "NSClass") -> None:
-        if self.ambient != other.ambient:
+        if self.ambient is not other.ambient and self.ambient != other.ambient:
             raise ValueError(f"ambient mismatch: {self.ambient} vs {other.ambient}")
 
     def __add__(self, other):
@@ -352,6 +355,13 @@ class NSClass(Record):
 
     # -- comparison / display -----------------------------------------------
 
+    def __eq__(self, other):  # Record's rule, field by field: the ambients last, by identity first
+        if type(other) is not type(self):
+            return NotImplemented
+        ambient = self.ambient
+        return (self.den == other.den and self._terms == other._terms
+                and (ambient is other.ambient or ambient == other.ambient))
+
     def __hash__(self):  # Record hashes the field values, and _terms is a dict
         return hash((self.ambient, self.den, frozenset(self._terms.items())))
 
@@ -373,10 +383,15 @@ def _of(ambient: Ambient, nums: dict, den: int) -> NSClass:
     """
     shared, terms = _KEYS.setdefault, {}
     common = gcd(den, *nums.values())  # a zero numerator leaves the gcd as it is
-    den //= common
-    for key, n in nums.items():
-        if n:
-            terms[shared(key, key)] = n // common
+    if common == 1:  # nothing to divide out, as for most classes built from integers
+        for key, n in nums.items():
+            if n:
+                terms[shared(key, key)] = n
+    else:
+        den //= common
+        for key, n in nums.items():
+            if n:
+                terms[shared(key, key)] = n // common
     return NSClass._make(ambient, den, terms)
 
 
@@ -397,19 +412,15 @@ def _print_row(key: tuple[int, int]) -> tuple[int, str]:
     return _PRINTED.setdefault(key, (i - (i + j) * (i + j + 3) // 2, text))
 
 
-def _signed_sum(terms) -> str:
-    """Join (nonzero coefficient text, monomial text such as "*x^2") pairs as "c1*m1 - c2*m2 + c3", or "0".
+def _signed_sum(pieces: list[str]) -> str:
+    """Join terms written " + c*m" or " - c*m" (c > 0) as "c1*m1 - c2*m2 + c3", or "0" when there are none.
 
-    The one place a signed sum's text is decided, for classes and cone rays alike.
+    The one place a signed sum's text is finished, for classes and cone rays alike.
     """
-    pieces = []
-    for text, monomial in terms:
-        pieces.append(f" - {text[1:]}{monomial}" if text[0] == "-" else f" + {text}{monomial}")
-    if not pieces:
+    text = "".join(pieces)
+    if not text:
         return "0"
-    head = pieces[0]
-    pieces[0] = head[3:] if head[1] == "+" else "-" + head[3:]
-    return "".join(pieces)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def format_class(c: NSClass) -> str:
@@ -429,7 +440,8 @@ def format_class(c: NSClass) -> str:
     rows.sort()
     pieces = []
     for _order, text, n in rows:
-        pieces.append((_lowest_terms(n, den), text))
+        size = -n if n < 0 else n  # over den == 1, the coefficient is its numerator
+        pieces.append(f"{' - ' if n < 0 else ' + '}{size if den == 1 else _lowest_terms(size, den)}{text}")
     return _signed_sum(pieces)
 
 
@@ -492,16 +504,48 @@ def pair(a: NSClass, b: NSClass) -> "Fraction":
 
 def _pair(a: NSClass, b: NSClass) -> tuple[int, int]:
     """`pair`'s value as (numerator, denominator > 0), not necessarily in lowest terms."""
+    return _pair_sum(a, b) if _pairable(a, b, b.pure_degree()) else (0, 1)
+
+
+def _pairs(b: NSClass, sides) -> list[tuple[int, int]]:
+    """`_pair(a, b)` for each class a in `sides`, each checked in turn as `pair` checks it.
+
+    Pairing is linear in a, so each side's value is its numerators times the pairings of b with
+    its monomials, and a monomial that several sides hold (theta and a divisor class, say) is
+    paired with b once.  b's degree is read once, for every side.
+    """
+    db, by_monomial, values = b.pure_degree(), {}, []
+    for a in sides:
+        if not _pairable(a, b, db):
+            values.append((0, 1))
+            continue
+        total = 0
+        for key, n in a._terms.items():
+            if key not in by_monomial:  # x^i theta^j paired with b, over b's denominator
+                by_monomial[key] = _pair_sum(_of(a.ambient, {key: 1}, 1), b)[0]
+            total += n * by_monomial[key]
+        values.append((total, a.den * b.den))
+    return values
+
+
+def _pairable(a: NSClass, b: NSClass, db: int | None) -> bool:
+    """Check a and b (of pure degree db, or None) as `pair` does: one ambient, d <= g, and for two
+    nonzero classes pure degrees that sum to d.  Whether neither class is zero."""
     a._require_same_ambient(b)
     _check_evaluable(a.ambient)
-    if a.is_zero() or b.is_zero():
-        return 0, 1
-    da, db = a.pure_degree(), b.pure_degree()
+    if not (a._terms and b._terms):
+        return False
+    da = a.pure_degree()
     if da is None or db is None or da + db != a.ambient.d:
         raise ValueError(
             f"degree mismatch: degrees must be pure and sum to d={a.ambient.d}, "
             f"got {da} and {db}"
         )
+    return True
+
+
+def _pair_sum(a: NSClass, b: NSClass) -> tuple[int, int]:
+    """The pairing of two nonzero classes `_pairable` has checked, as `_pair` returns it."""
     g, d = a.ambient.g, a.ambient.d
     weights = _top_weights(g, d, min(a._terms)[0] + min(b._terms)[0])
     total = 0

@@ -12,7 +12,9 @@ parser with every verb, and that `cli._read_argv` reads the command-line
 digest's argv, the `EDGE_ARGV` and `reader_edge_argv()` as that
 interpreter's argparse does, or declines them.  Argparse's text, and its
 reading of values that start with '-', differ between versions, so those
-checks compare with argparse on one interpreter, not with pinned text.  It
+checks compare with argparse on one interpreter, not with pinned text.  The
+one refusal `cli` words itself before argparse reads the argv, a flag given
+the value `--` after '=', is pinned in `DASH_VALUE_ARGV`.  It
 prints one line per interpreter and exits 1 if any check differs or an
 interpreter fails to run.  Standard library only: pytest need not be
 installed for the interpreters checked.
@@ -62,6 +64,30 @@ def edge_argv_differ() -> bool:
         return [outcome(argv) for argv in EDGE_ARGV] != answers
     finally:
         cli.build_parser = build_parser
+
+
+# argv -> the usage error `cli.main` prints (exit 1, nothing on stdout) for a
+# flag given `--` after '=', which argparse before 3.13 turns into an empty list.
+DASH_VALUE_ARGV = {
+    ("eval", "--g", "6", "--d", "4", "--expr=--"): "usage error: argument --expr: '--' is not a value\n",
+    ("class", "--name=--", "--g", "6"): "usage error: argument --name: '--' is not a value\n",
+    ("verify", "--config=--"): "usage error: argument --config: '--' is not a value\n",
+    ("eval", "--g=--", "--d", "4", "--ex=--"): "usage error: argument --g: '--' is not a value\n",
+    ("eval", "--g", "6", "--d", "4", "--ex=--"): "usage error: argument --expr: '--' is not a value\n",
+}
+
+
+def dash_values_differ() -> bool:
+    """Whether an argv of `DASH_VALUE_ARGV` gets another answer than its pinned usage error."""
+    from cdcalc import cli
+
+    for argv, message in DASH_VALUE_ARGV.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+        if (code, out.getvalue(), err.getvalue()) != (1, "", message):
+            return True
+    return False
 
 
 # Values argparse reads by their form: a value or a flag, in their own token or
@@ -131,6 +157,8 @@ def differing() -> list[str]:
               if sweep_digest(g_min, g_max) != digest]
     if edge_argv_differ():
         found.append("edge argv")
+    if dash_values_differ():
+        found.append("'--' values")
     if reader_disagreements([argv for argv, *_ in gate.cli_queries()] + EDGE_ARGV + reader_edge_argv()):
         found.append("argv reader")
     return found

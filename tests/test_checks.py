@@ -193,6 +193,41 @@ def test_run_all_renders_a_failing_check(monkeypatch, capsys):
     assert "summary: 5 checks, 4 passed, 1 failed" in out
 
 
+
+def _counting_render(monkeypatch):
+    """Count the calls to `checks._render`, which `_run` makes once per side it writes."""
+    from cdcalc import checks
+
+    calls = []
+    render = checks._render
+    monkeypatch.setattr(checks, "_render", lambda value: calls.append(value) or render(value))
+    return calls
+
+
+def test_run_renders_both_sides_of_a_passing_check_whose_sides_differ(monkeypatch):
+    # `passed` is the check's own verdict; the runner writes each side from its value.
+    from cdcalc.checks import _run
+
+    calls = _counting_render(monkeypatch)
+    row = _run("demo", lambda: (Fraction(1), Fraction(2), True), {})
+    assert (row.lhs, row.rhs, row.passed) == ("1", "2", True)
+    assert calls == [Fraction(1), Fraction(2)]
+
+
+def test_run_renders_a_passing_check_with_equal_sides_once(monkeypatch):
+    from cdcalc.checks import _run
+
+    calls = _counting_render(monkeypatch)
+    amb = Ambient(6, 4)
+    row = _run("demo", lambda g: (amb.theta() - amb.x(), NSClass(Ambient(6, 4), {(0, 1): 1, (1, 0): -1}), True),
+               {"g": 6})
+    assert len(calls) == 1 and row.lhs == row.rhs == "1*theta - 1*x"
+    payload = json.loads(report_json(Report("0.1.0", 6, 6, [row])))
+    assert (payload["checks"][0]["lhs"], payload["checks"][0]["rhs"]) == ("1*theta - 1*x",) * 2
+    failing = _run("demo", lambda: (amb.x(), amb.x(), False), {})  # a failing row renders both sides
+    assert len(calls) == 3 and failing.lhs == failing.rhs == "1*x"
+
+
 def test_run_all_counts_and_order():
     report = run_all(5, 8)
     # per genus: pairings + kernel + mult/chern + one impclass per valid m

@@ -701,3 +701,12 @@ def test_a_value_that_starts_with_a_minus_is_written_after_equals(capsys, argv, 
     joined = run_cli(capsys, *argv[:at - 1], f"{flag}={value}", *argv[at + 1:])
     assert joined == run_cli(capsys, *argv[:at], "0 " + value, *argv[at + 1:])
     assert joined[0] == 0 and joined[2] == ""
+
+
+@pytest.mark.parametrize("argv", sorted(crossversion.DASH_VALUE_ARGV), ids=" ".join)
+def test_a_flag_given_dash_dash_after_equals_is_a_usage_error(capsys, argv):
+    """argparse before 3.13 hands a handler [] for `--flag=--`, 3.13 the text `--`: refused before either."""
+    assert run_cli(capsys, *argv) == (1, "", crossversion.DASH_VALUE_ARGV[argv])
+    # After a bare `--` nothing is a flag, so argparse reads the argv and words its own error.
+    code, out, err = run_cli(capsys, *argv[:1], "--", *argv[1:])
+    assert (code, out) == (1, "") and "is not a value" not in err

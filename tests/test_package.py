@@ -233,6 +233,7 @@ EDGE_ARGV = [
     *([verb, "-h"] for verb in ("class", "eval", "pair", "pushpull", "cone", "verify")),
     ["cone", "--curve", "nope", "--g", "8", "--d", "6"],
     ["class", "--nam", "dm", "--g", "6", "--m", "1"],
+    ["eval", "--g", "6", "--d", "4", "--expr=--"], ["class", "--name=--", "--g", "6"], ["verify", "--config=--"],
 ]
 
 

@@ -59,6 +59,23 @@ def test_pair_agrees_with_eval_top_of_product(classes_ab):
 
 
 @st.composite
+def sides_against_one_class(draw):
+    amb = draw(ambients())
+    p = draw(st.integers(0, amb.d))
+    return draw(homogeneous(amb, amb.d - p)), draw(st.lists(homogeneous(amb, p), max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sides_against_one_class())
+@example((NSClass(Ambient(8, 6), {(i, 5 - i): i + 1 for i in range(6)}),
+          [Ambient(8, 6).theta(), Ambient(8, 6).x(), 3 * Ambient(8, 6).theta() - 5 * Ambient(8, 6).x()]))
+def test_pairs_against_one_class_agree_with_eval_top_of_each_product(case):
+    # one weight table and one dot product per x-exponent of a side, shared by the sides
+    b, sides = case
+    assert [Fraction(*value) for value in nsring._pairs(b, sides)] == [eval_top(a * b) for a in sides]
+
+
+@st.composite
 def dense_top_classes(draw):
     g = draw(st.integers(2, 7))
     d = draw(st.integers(1, g))
@@ -257,6 +274,65 @@ def test_every_operation_keeps_the_stored_form(case):
     ]
     for c in produced:
         _assert_stored_form(c)
+
+
+
+# -- the two class-building paths, and class equality ------------------------------
+
+@st.composite
+def numerator_cases(draw):
+    """(ambient, integer numerators of degree at most d, denominator): zero and negative numerators,
+    and a denominator sharing a factor with every numerator whenever `scale` > 1."""
+    amb = draw(ambients())
+    keys = st.integers(0, amb.d).flatmap(lambda i: st.integers(0, amb.d - i).map(lambda j: (i, j)))
+    nums = draw(st.dictionaries(keys, st.integers(-60, 60), max_size=6))
+    den, scale = draw(st.integers(1, 40)), draw(st.sampled_from([1, 1, 2, 6, 35]))
+    return amb, {key: n * scale for key, n in nums.items()}, den * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(numerator_cases())
+@example((Ambient(6, 4), {(0, 1): 5, (1, 0): -7}, 3))  # gcd 1: nothing to divide out
+@example((Ambient(6, 4), {(0, 1): 6, (1, 0): -9, (2, 0): 0}, 12))  # gcd 3, a zero numerator
+@example((Ambient(6, 4), {(0, 1): 0, (1, 1): 0}, 5))  # every numerator zero
+@example((Ambient(6, 4), {}, 4))
+def test_of_builds_what_the_validating_constructor_builds(case):
+    amb, nums, den = case
+    fast = nsring._of(amb, dict(nums), den)
+    checked = NSClass(amb, {key: Fraction(n, den) for key, n in nums.items()})
+    assert (fast.den, fast._terms) == (checked.den, checked._terms)
+    assert all(nsring._KEYS[key] is key for c in (fast, checked) for key in c._terms)
+    assert format_class(fast) == format_class(checked)
+
+
+@st.composite
+def class_pairs(draw):
+    """Two classes, on ambients built apart that are often equal, with terms that are often equal."""
+    g, d = draw(st.integers(2, 8)), draw(st.integers(1, 6))
+    amb = Ambient(g, d)
+    other = Ambient(g, d) if draw(st.booleans()) else Ambient(draw(st.integers(2, 8)), draw(st.integers(1, 6)))
+    a = draw(classes(amb))
+    terms = a.terms() if draw(st.booleans()) else draw(classes(amb)).terms()
+    if draw(st.booleans()):  # the same terms over another denominator
+        terms = {key: c * draw(st.sampled_from([1, 2, Fraction(1, 3)])) for key, c in terms.items()}
+    return a, NSClass(other, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_pairs())
+@example((Ambient(6, 4).theta(), Ambient(6, 4).theta()))
+@example((Ambient(6, 4).x(), Ambient(6, 5).x()))
+@example((Ambient(6, 4).x(), 2 * Ambient(6, 4).x()))
+def test_classes_are_equal_exactly_when_their_fields_are(pair_ab):
+    a, b = pair_ab
+    fields_equal = a.ambient == b.ambient and a.den == b.den and a._terms == b._terms
+    assert (a == b) is (b == a) is fields_equal
+    assert (a != b) is (not fields_equal)
+    if fields_equal:
+        assert hash(a) == hash(b)
+    for stranger in (a.ambient, (a.ambient.g, a.ambient.d), a.den, 0):
+        assert a.__eq__(stranger) is NotImplemented
+        assert (a == stranger) is False and (a != stranger) is True
 
 
 def _format_oracle(c: NSClass) -> str:
