@@ -169,7 +169,7 @@ def pushpull(c: NSClass, k: int) -> NSClass:
     contribution is one integer product added into an int per output
     monomial, and no Fraction is built.
     """
-    if type(k) is not int:
+    if type(k) is not int:  # the checker's own test, inline: a 5..120 sweep makes 7.2k of these calls
         _require_ints("pushpull argument", k=k)
     if k < 0:
         raise ValueError(f"push-pull index must be nonnegative, got k={k}")
@@ -207,7 +207,7 @@ def dm_class(g: int, m: int) -> NSClass:
     are checked first, so an m out of range builds no binomial, and they make
     C_{g-2m} a valid ambient: g >= 2m + 2 >= 4, so binom(g, m) is comb(g, m).
     """
-    if type(g) is not int or type(m) is not int:
+    if type(g) is not int or type(m) is not int:  # as in pushpull
         _require_ints("dm_class argument", g=g, m=m)
     if m < 1 or 2 * m > g - 2:
         raise ValueError(f"m out of range: need 1 <= m <= g/2 - 1, got g={g}, m={m}")

@@ -42,7 +42,9 @@ from .catalog import (
     system_c1,
     twisted_kernel_class,
 )
-from .nsring import Ambient, NSClass, Record, _of, _pairs, _require_ints, format_class, format_rational, pair
+from .nsring import (
+    Ambient, NSClass, Record, _of, _pair_sum, _pairable, _require_ints, format_class, format_rational, pair
+)
 
 __all__ = list(_EXPORTS["checks"])
 
@@ -134,6 +136,28 @@ def pairing_sum_x(g: int) -> Fraction:
         total += (j + 1) * signed
         signed = -signed * (g - 3 - j) // (j + 4)
     return Fraction(total)
+
+
+def _pairs(b: NSClass, sides) -> list[tuple[int, int]]:
+    """`pair(a, b)` for each class a in `sides`, as (numerator, denominator > 0), each checked in turn
+    as `pair` checks it.
+
+    Pairing is linear in a, so each side's value is its numerators times the pairings of b with
+    its monomials, and a monomial that several sides hold (theta and a divisor class, say) is
+    paired with b once.  b's degree is read once, for every side.
+    """
+    db, by_monomial, values = b.pure_degree(), {}, []
+    for a in sides:
+        if not _pairable(a, b, db):
+            values.append((0, 1))
+            continue
+        total = 0
+        for key, n in a._terms.items():
+            if key not in by_monomial:  # x^i theta^j paired with b, over b's denominator
+                by_monomial[key] = _pair_sum(_of(a.ambient, {key: 1}, 1), b)[0]
+            total += n * by_monomial[key]
+        values.append((total, a.den * b.den))
+    return values
 
 
 # -- individual checks --------------------------------------------------------

@@ -535,17 +535,20 @@ def _parse_args(argv: list[str]):
     form that takes such a value.  A verb's flag (or an abbreviation of one)
     given the value `--` after '=' is refused before argparse reads it:
     argparse before 3.13 hands the handler an empty list for it, 3.13 the
-    text `--`.
+    text `--`.  The tokens are read left to right, as argparse reads them, up
+    to a bare `--` or a help flag, which argparse answers first.
     """
     table = _verbs()
     if argv and argv[0] in table:
-        names = _options(*table[argv[0]][2:])
+        help_flag = "--help"  # argparse's own, with -h
+        names = [*_options(*table[argv[0]][2:]), help_flag]
         for token in argv[1:argv.index("--") if "--" in argv else None]:
             flag, _equals, value = token.partition("=")
-            if value == "--":
-                named = [flag] if flag in names else [name for name in names if name.startswith(flag)]
-                if len(named) == 1:
-                    raise UsageError(f"argument {named[0]}: '--' is not a value")
+            named = [flag] if flag in names else [name for name in names if name.startswith(flag)]
+            if token == "-h" or named == [help_flag]:
+                break
+            if value == "--" and len(named) == 1:
+                raise UsageError(f"argument {named[0]}: '--' is not a value")
     try:
         return build_parser(argv).parse_args(argv)
     except UsageError as exc:

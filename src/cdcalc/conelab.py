@@ -39,8 +39,7 @@ class ConeRay(Record):
 
     def __str__(self) -> str:
         terms = ((self.theta, "*theta"), (self.x, "*x"))
-        return _signed_sum([f" - {format_rational(-value)}{monomial}" if value < 0
-                            else f" + {format_rational(value)}{monomial}" for value, monomial in terms if value])
+        return _signed_sum((format_rational(value), monomial) for value, monomial in terms if value)
 
 
 def _direction(ray: ConeRay) -> tuple[int, int]:

@@ -19,9 +19,7 @@ at a time, down to the lowest x-exponent present.  `eval_top` and `pair`
 share that path: each side's integer numerators are summed against the
 weights into one (numerator, denominator) pair, which the CLI prints as it
 is and the public functions return as a single Fraction.  `pair` never
-builds the product class, and `_pairs` pairs several classes with one class,
-pairing each monomial they hold once (the pencil pairings of the verification
-sweep).
+builds the product class.
 
 A class holds integer numerators over one denominator (see `NSClass`), so
 the ring operations, `eval_top`, `pair` and `catalog.pushpull` run in
@@ -412,12 +410,14 @@ def _print_row(key: tuple[int, int]) -> tuple[int, str]:
     return _PRINTED.setdefault(key, (i - (i + j) * (i + j + 3) // 2, text))
 
 
-def _signed_sum(pieces: list[str]) -> str:
-    """Join terms written " + c*m" or " - c*m" (c > 0) as "c1*m1 - c2*m2 + c3", or "0" when there are none.
+def _signed_sum(terms) -> str:
+    """Join (nonzero coefficient text, monomial text such as "*x^2") pairs as "c1*m1 - c2*m2 + c3", or "0".
 
-    The one place a signed sum's text is finished, for classes and cone rays alike.
+    The one place a signed sum's text is decided, for classes and cone rays alike.
     """
-    text = "".join(pieces)
+    text = ""
+    for value, monomial in terms:
+        text += f" - {value[1:]}{monomial}" if value[0] == "-" else f" + {value}{monomial}"
     if not text:
         return "0"
     return text[3:] if text[1] == "+" else "-" + text[3:]
@@ -440,8 +440,7 @@ def format_class(c: NSClass) -> str:
     rows.sort()
     pieces = []
     for _order, text, n in rows:
-        size = -n if n < 0 else n  # over den == 1, the coefficient is its numerator
-        pieces.append(f"{' - ' if n < 0 else ' + '}{size if den == 1 else _lowest_terms(size, den)}{text}")
+        pieces.append((str(n) if den == 1 else _lowest_terms(n, den), text))  # over 1, n is in lowest terms
     return _signed_sum(pieces)
 
 
@@ -505,27 +504,6 @@ def pair(a: NSClass, b: NSClass) -> "Fraction":
 def _pair(a: NSClass, b: NSClass) -> tuple[int, int]:
     """`pair`'s value as (numerator, denominator > 0), not necessarily in lowest terms."""
     return _pair_sum(a, b) if _pairable(a, b, b.pure_degree()) else (0, 1)
-
-
-def _pairs(b: NSClass, sides) -> list[tuple[int, int]]:
-    """`_pair(a, b)` for each class a in `sides`, each checked in turn as `pair` checks it.
-
-    Pairing is linear in a, so each side's value is its numerators times the pairings of b with
-    its monomials, and a monomial that several sides hold (theta and a divisor class, say) is
-    paired with b once.  b's degree is read once, for every side.
-    """
-    db, by_monomial, values = b.pure_degree(), {}, []
-    for a in sides:
-        if not _pairable(a, b, db):
-            values.append((0, 1))
-            continue
-        total = 0
-        for key, n in a._terms.items():
-            if key not in by_monomial:  # x^i theta^j paired with b, over b's denominator
-                by_monomial[key] = _pair_sum(_of(a.ambient, {key: 1}, 1), b)[0]
-            total += n * by_monomial[key]
-        values.append((total, a.den * b.den))
-    return values
 
 
 def _pairable(a: NSClass, b: NSClass, db: int | None) -> bool:

@@ -643,16 +643,19 @@ def test_each_verb_is_declared_once():
     assert source.count("add_argument(") == 1
     assert source.count('"--format"') == 1
     assert "type=int" not in source
-    # The parser and the argv reader read one table: no flag is named outside it.
+    # The parser and the argv reader read one table: no flag is named outside it.  argparse's
+    # own `--help` is not in the table; `_parse_args` names it once, to stop its scan for `--flag=--`.
     tree = ast.parse(source)
-    table = set()
+    table, parse_args = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name in ("_verbs", "_options"):
             table.update(map(id, ast.walk(node)))
-    named = [f"cli.py:{node.lineno}: {node.value}" for node in ast.walk(tree)
+        elif isinstance(node, ast.FunctionDef) and node.name == "_parse_args":
+            parse_args.update(map(id, ast.walk(node)))
+    named = [(id(node) in parse_args, node.value) for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and re.fullmatch(r"--[a-z][a-z-]*", node.value) and id(node) not in table]
-    assert named == []
+    assert named == [(True, "--help")]
     assert source.count("_options(flags, formats)") == 3  # defined, then read by the parser and the reader
 
 
@@ -710,3 +713,16 @@ def test_a_flag_given_dash_dash_after_equals_is_a_usage_error(capsys, argv):
     # After a bare `--` nothing is a flag, so argparse reads the argv and words its own error.
     code, out, err = run_cli(capsys, *argv[:1], "--", *argv[1:])
     assert (code, out) == (1, "") and "is not a value" not in err
+
+
+@pytest.mark.parametrize("argv", [["eval", "-h", "--expr=--"], ["eval", "--g", "6", "--he", "--d=--", "--expr=--"]],
+                         ids=" ".join)
+def test_a_help_flag_before_dash_dash_after_equals_prints_the_help(capsys, argv):
+    """argparse answers a help flag as it reads it, so a later `--flag=--` does not stop the help."""
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: cdcalc eval") and "--expr EXPR" in out and err == ""
+    # A `--flag=--` before the help flag is refused first.
+    assert run_cli(capsys, "eval", "--expr=--", "-h") == (1, "", "usage error: argument --expr: '--' is not a value\n")

@@ -97,9 +97,10 @@ def argvs(draw):
     for flag, value in flags.items():
         # the flags a verb takes are there nine times in ten, the others one time in ten
         if draw(st.integers(0, 9)) < (9 if flag in taken else 1):
-            if draw(st.integers(0, 19)) == 0:
-                value = "--"  # which argparse before 3.13 drops, even after '='
-            argv += draw(st.sampled_from([[f"--{flag}", value], [f"--{flag}={value}"]]))
+            if draw(st.integers(0, 19)) == 0:  # `--`, which argparse before 3.13 drops, even after '='
+                argv.append(f"--{flag}=--")  # a separate `--` would end the flags
+            else:
+                argv += [f"--{flag}", value]
     if draw(st.integers(0, 3)) == 0:
         argv += ["--format", draw(st.sampled_from(["text", "json", "csv", "xml"]))]
     return argv
@@ -300,10 +301,17 @@ def test_class_and_cone_at_large_magnitudes(argv):
 
 @st.composite
 def either_form(draw):
-    """A fuzzed argv, a verb and then flag-value pairs, with some pairs written `--flag=VALUE`."""
-    verb, *pairs = draw(st.one_of(argvs(), large_argvs(), large_class_or_cone_argvs()))
-    argv = [verb]
-    for flag, value in zip(pairs[::2], pairs[1::2]):
+    """A fuzzed argv, a verb and then flag-value pairs, with some pairs written `--flag=VALUE`.
+
+    A `--flag=--` of `argvs` is one token already, and stays as it is.
+    """
+    verb, *rest = draw(st.one_of(argvs(), large_argvs(), large_class_or_cone_argvs()))
+    argv, tokens = [verb], iter(rest)
+    for flag in tokens:
+        if "=" in flag:
+            argv.append(flag)
+            continue
+        value = next(tokens)
         argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     return argv
 

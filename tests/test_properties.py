@@ -15,7 +15,7 @@ from cdcalc import (
     chern_character, contains, diagonal_class, dm_class, eval_top, format_class, pair, pushpull,
     subordinate_class, system_c1,
 )
-from cdcalc import nsring
+from cdcalc import checks, nsring
 from cdcalc.cli import parse_class
 
 fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
@@ -70,9 +70,9 @@ def sides_against_one_class(draw):
 @example((NSClass(Ambient(8, 6), {(i, 5 - i): i + 1 for i in range(6)}),
           [Ambient(8, 6).theta(), Ambient(8, 6).x(), 3 * Ambient(8, 6).theta() - 5 * Ambient(8, 6).x()]))
 def test_pairs_against_one_class_agree_with_eval_top_of_each_product(case):
-    # one weight table and one dot product per x-exponent of a side, shared by the sides
+    # each monomial the sides hold is paired with b once, and shared by the sides that hold it
     b, sides = case
-    assert [Fraction(*value) for value in nsring._pairs(b, sides)] == [eval_top(a * b) for a in sides]
+    assert [Fraction(*value) for value in checks._pairs(b, sides)] == [eval_top(a * b) for a in sides]
 
 
 @st.composite
