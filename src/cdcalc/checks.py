@@ -7,16 +7,18 @@ dimension bookkeeping) — and passes only on exact rational agreement.
 Each `check_*` returns `(lhs, rhs, passed)` with both sides exact, and
 `run_all` times and renders them; a failure never aborts a run.
 
-Report ordering is fixed: rows are sorted by check id, and a stable sort
-keeps each id's rows in the order `run_all` plans them, which ascends in the
-parameters (g, then m).  The text, CSV and JSON reports are all written
-here; text and CSV read a row's params through one `k=v` view, `_params`.
-The JSON rendering is byte-deterministic once per-check timings are
-masked.  `report_json` fills a fixed template
-with each field's JSON text (strings through the C escaper `json` itself
-uses, ints through `str`) and writes exactly what `json.dumps(payload,
-indent=2)` would, without `json.dumps`'s pure-Python encoder, which it runs
-whenever an indent is set.
+Report ordering is fixed and planned, not sorted: `_rows` runs the checks by
+id in sorted order and each id's rows ascending in the parameters (g, then
+m), and yields each row as it is computed.  One writer per format (text, CSV,
+JSON) writes the rows to a file object as they arrive and counts the
+failures; `report_json`, `report_csv` and `cdcalc verify` all use them, so a
+sweep is never held as one string.  Text and CSV read a row's params through
+one `k=v` view, `_params`.  The JSON rendering is byte-deterministic once
+per-check timings are masked.  `_write_json` fills a fixed template with each
+field's JSON text (strings through the C escaper `json` itself uses, ints
+through `str`) and writes exactly what `json.dumps(payload, indent=2)` would,
+without `json.dumps`'s pure-Python encoder, which it runs whenever an indent
+is set.
 """
 
 import csv
@@ -246,20 +248,18 @@ def check_mult_and_chern(g: int, d: int, r: int, f: int) -> tuple:
 
     The multiplication class is assembled from its two determinant terms and
     must simplify to r*theta - (r+1)*x; the Chern character must have
-    degree-0 part r*d and degree-1 part equal to the induced determinant,
-    and (when d >= 2) degree-2 part (r*d+r*g-f-r)/2 x^2 - r x*theta.
+    degree-0 part r*d, degree-1 part equal to the induced determinant,
+    and degree-2 part (r*d+r*g-f-r)/2 x^2 - r x*theta.
     """
     amb = Ambient(g, d)
-    mult = mult_degeneracy_class(g, d, r)
-    ch = chern_character(amb, r, f, min(2, d))
+    mult = mult_degeneracy_class(g, d, r)  # first: it refuses d < 2, so degree 2 exists on C_d
+    ch = chern_character(amb, r, f, 2)
     det = system_c1(amb, SystemData(r, f, r * d))
     # The literals are built unchecked: the calls above have checked r and f as ints.
-    lhs = [mult, ch.homogeneous_part(0), ch.homogeneous_part(1)]
-    rhs = [_of(amb, {(0, 1): r, (1, 0): -(r + 1)}, 1), _of(amb, {(0, 0): r * d}, 1), det]
-    if d >= 2:
-        lhs.append(ch.homogeneous_part(2))
-        rhs.append(_of(amb, {(2, 0): r * d + r * g - f - r, (1, 1): -2 * r}, 2))
-    return tuple(lhs), tuple(rhs), all(a == b for a, b in zip(lhs, rhs))
+    lhs = (mult, ch.homogeneous_part(0), ch.homogeneous_part(1), ch.homogeneous_part(2))
+    rhs = (_of(amb, {(0, 1): r, (1, 0): -(r + 1)}, 1), _of(amb, {(0, 0): r * d}, 1), det,
+           _of(amb, {(2, 0): r * d + r * g - f - r, (1, 1): -2 * r}, 2))
+    return lhs, rhs, lhs == rhs
 
 
 # -- suite --------------------------------------------------------------------
@@ -271,8 +271,31 @@ def _run(check_id: str, fn, params: dict) -> CheckResult:
     lhs_text = _render(lhs)
     # Equal values render alike (class term maps are canonical), so a passing row renders once.
     rhs_text = lhs_text if passed and lhs == rhs else _render(rhs)
-    # Unchecked: `params` come from `run_all`'s own plan, so they are already {str: int}.
+    # Unchecked: `params` come from `_rows`'s own plan, so they are already {str: int}.
     return CheckResult._make(check_id, params, lhs_text, rhs_text, bool(passed), micros)
+
+
+def _rows(g_min: int, g_max: int):
+    """The suite's rows over a genus sweep, each run as it is read, in report order.
+
+    The range is checked at once; the rows follow lazily.  The plan is written in report order:
+    ids in sorted order, each id's rows ascending in (g, m), and plane-quintic once.  The table is
+    built per call, so it holds the check functions the module has when the sweep starts.
+    """
+    _require_ints("run_all argument", g_min=g_min, g_max=g_max)
+    if not 5 <= g_min <= g_max:
+        raise ValueError(f"invalid genus range: need 5 <= gMin <= gMax, got [{g_min}, {g_max}]")
+    plan = (  # (id, check, params at genus g)
+        ("kernel-decomposition", check_kernel_decomposition, lambda g: [{"g": g}]),
+        ("mult-chern", check_mult_and_chern,
+         lambda g: [{"g": g, "d": g - 2, "r": g - 2, "f": (g - 2) * (2 * g - 2) - (2 * g - 3)}]),
+        ("pencil-pairings", check_pencil_pairings, lambda g: [{"g": g}]),
+        ("plane-quintic", check_plane_quintic, lambda g: [{}] if g == g_min else []),
+        ("pushpull-closed-form", check_pushpull_closed_form,
+         lambda g: [{"g": g, "m": m} for m in range(1, (g - 2) // 2 + 1)]),
+    )
+    return (_run(check_id, check, params) for check_id, check, at in plan
+            for g in range(g_min, g_max + 1) for params in at(g))
 
 
 def run_all(g_min: int, g_max: int) -> Report:
@@ -281,26 +304,11 @@ def run_all(g_min: int, g_max: int) -> Report:
     Per genus: the pencil pairings, the kernel decomposition, the push-pull
     closed form at every valid m, and one mult/Chern configuration (the
     canonical-twist numbers d = g-2, r = g-2, f = (g-2)(2g-2)-(2g-3)); the
-    plane-quintic check runs once.  Deterministic given the range, apart from
-    the per-check times, which exclude rendering.
+    plane-quintic check runs once.  The rows come in the order `_rows` plans
+    them, which is report order; nothing is sorted.  Deterministic given the
+    range, apart from the per-check times, which exclude rendering.
     """
-    _require_ints("run_all argument", g_min=g_min, g_max=g_max)
-    if not 5 <= g_min <= g_max:
-        raise ValueError(f"invalid genus range: need 5 <= gMin <= gMax, got [{g_min}, {g_max}]")
-
-    def plan():  # reads the check functions from the module globals as it runs
-        for g in range(g_min, g_max + 1):
-            yield "pencil-pairings", check_pencil_pairings, {"g": g}
-            yield "kernel-decomposition", check_kernel_decomposition, {"g": g}
-            for m in range(1, (g - 2) // 2 + 1):
-                yield "pushpull-closed-form", check_pushpull_closed_form, {"g": g, "m": m}
-            f = (g - 2) * (2 * g - 2) - (2 * g - 3)
-            yield "mult-chern", check_mult_and_chern, {"g": g, "d": g - 2, "r": g - 2, "f": f}
-        yield "plane-quintic", check_plane_quintic, {}
-
-    results = [_run(*row) for row in plan()]
-    results.sort(key=attrgetter("check_id"))  # stable: each id's rows stay in plan order
-    return Report(__version__, g_min, g_max, results)
+    return Report(__version__, g_min, g_max, list(_rows(g_min, g_max)))
 
 
 def _json(value) -> str:
@@ -333,22 +341,33 @@ def _json_row(c: CheckResult, micros: int) -> str:
             f'      "passed": {"true" if c.passed else "false"},\n      "micros": {micros}\n    }}')
 
 
+def _write_json(out, g_min: int, g_max: int, rows, include_timing: bool = True,
+                version: str = __version__) -> int:
+    """Write the JSON report to `out` as the rows arrive; the number of rows that failed.
+
+    The text is what `json.dumps(payload, indent=2)` writes for the report's payload:
+    ASCII only, two-space indents, `{}` and `[]` for empty params and checks.
+    """
+    out.write(f'{{\n  "version": {_json(version)},\n  "range": {{\n    "gMin": {_json(g_min)},\n'
+              f'    "gMax": {_json(g_max)}\n  }},\n  "checks": [')
+    total = failed = 0
+    for total, c in enumerate(rows, 1):
+        out.write((",\n" if total > 1 else "\n") + _json_row(c, c.micros if include_timing else 0))
+        failed += not c.passed
+    out.write(("\n  ]" if total else "]") + f',\n  "summary": {{\n    "total": {total},\n'
+              f'    "passed": {total - failed},\n    "failed": {failed}\n  }}\n}}\n')
+    return failed
+
+
 def report_json(report: Report, include_timing: bool = True) -> str:
     """Render a report as JSON with stable key order.
 
     With include_timing=False the micros fields are zeroed, making the
-    output byte-identical across runs with the same inputs.  The text is
-    what `json.dumps(payload, indent=2)` writes for the report's payload:
-    ASCII only, two-space indents, `{}` and `[]` for empty params and checks.
+    output byte-identical across runs with the same inputs.
     """
-    rows = ",\n".join([_json_row(c, c.micros if include_timing else 0) for c in report.checks])
-    checks = f"[\n{rows}\n  ]" if report.checks else "[]"
-    return (f'{{\n  "version": {_json(report.version)},\n'
-            f'  "range": {{\n    "gMin": {_json(report.g_min)},\n'
-            f'    "gMax": {_json(report.g_max)}\n  }},\n'
-            f'  "checks": {checks},\n'
-            f'  "summary": {{\n    "total": {report.total},\n'
-            f'    "passed": {report.passed},\n    "failed": {report.failed}\n  }}\n}}\n')
+    _write_json(buffer := io.StringIO(), report.g_min, report.g_max, report.checks, include_timing,
+                report.version)
+    return buffer.getvalue()
 
 
 def _params(c: CheckResult) -> list[str]:
@@ -356,22 +375,31 @@ def _params(c: CheckResult) -> list[str]:
     return [f"{k}={v}" for k, v in sorted(c.params.items())]
 
 
-def report_csv(report: Report) -> str:
-    """Flatten a report to CSV, one row per check."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def _write_csv(out, rows) -> int:
+    """Write the CSV report to `out`, one line per row as it arrives; the number of rows that failed."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["id", "params", "lhs", "rhs", "passed", "micros"])
-    for c in report.checks:
+    failed = 0
+    for c in rows:
         writer.writerow([c.check_id, ";".join(_params(c)), c.lhs, c.rhs, "true" if c.passed else "false",
                          c.micros])
+        failed += not c.passed
+    return failed
+
+
+def report_csv(report: Report) -> str:
+    """Flatten a report to CSV, one row per check."""
+    _write_csv(buffer := io.StringIO(), report.checks)
     return buffer.getvalue()
 
 
-def _report_text(report: Report, status: dict[bool, str]) -> str:
-    """The text report: each row's status word, id and params (both sides if it failed), then a summary."""
-    lines = []
-    for c in report.checks:
-        line = " ".join([status[c.passed], c.check_id, *_params(c)])
-        lines.append(line if c.passed else f"{line}  lhs={c.lhs}  rhs={c.rhs}")
-    lines.append(f"summary: {report.total} checks, {report.passed} passed, {report.failed} failed")
-    return "\n".join(lines) + "\n"
+def _write_text(out, rows, status: dict[bool, str]) -> int:
+    """Write each row's status word, id and params (both sides if it failed) to `out` as it arrives,
+    then a summary; the number of rows that failed."""
+    total = failed = 0
+    for total, c in enumerate(rows, 1):
+        out.write(" ".join([status[c.passed], c.check_id, *_params(c)])
+                  + ("\n" if c.passed else f"  lhs={c.lhs}  rhs={c.rhs}\n"))
+        failed += not c.passed
+    out.write(f"summary: {total} checks, {total - failed} passed, {failed} failed\n")
+    return failed

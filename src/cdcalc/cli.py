@@ -387,19 +387,19 @@ def _read_config(path: str) -> dict[str, int]:
 
 
 def cmd_verify(args) -> int:
-    from .checks import _report_text, report_csv, report_json, run_all
+    from .checks import _rows, _write_csv, _write_json, _write_text
 
-    config = _read_config(args.config) if args.config else {}
+    config = _read_config(args.config) if args.config is not None else {}
     g_min = config.get("g-min", 5) if args.g_min is None else args.g_min
     g_max = config.get("g-max", 40) if args.g_max is None else args.g_max
-    report = run_all(g_min, g_max)
+    rows = _rows(g_min, g_max)  # checks the range before anything is written
     if args.format == "json":
-        print(report_json(report), end="")
+        failed = _write_json(sys.stdout, g_min, g_max, rows)
     elif args.format == "csv":
-        print(report_csv(report), end="")
+        failed = _write_csv(sys.stdout, rows)
     else:
-        print(_report_text(report, _status_words()), end="")  # words decided once per call
-    return 2 if report.failed else 0
+        failed = _write_text(sys.stdout, rows, _status_words())  # words decided once per call
+    return 2 if failed else 0
 
 
 # -- argument parsing ---------------------------------------------------------

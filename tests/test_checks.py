@@ -108,6 +108,15 @@ def test_report_json_matches_the_reference_renderer_on_a_sweep():
         assert report_json(report, include_timing) == reference_report_json(report, include_timing)
 
 
+def test_report_json_writes_a_bool_side_as_json_does_and_refuses_a_list():
+    # `CheckResult` leaves lhs and rhs unchecked; the JSON writer takes what JSON writes as a field
+    report = Report("0.1.0", 5, 5, [CheckResult("demo", {}, True, False, False, 0)])
+    assert report_json(report) == reference_report_json(report)
+    assert '"lhs": true,\n      "rhs": false,' in report_json(report)
+    with pytest.raises(TypeError, match=r"^a report field must be a str, an int or a bool, got \[1\]$"):
+        report_json(Report("0.1.0", 5, 5, [CheckResult("demo", {}, [1], "1", False, 0)]))
+
+
 def _rows(report):
     """Rendered (lhs, rhs) per (check id, params) row of a report."""
     return {(c.check_id, tuple(sorted(c.params.items()))): (c.lhs, c.rhs) for c in report.checks}

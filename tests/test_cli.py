@@ -16,7 +16,7 @@ import jsonschema
 import pytest
 
 from cdcalc import Ambient, NSClass, diagonal_class, format_class
-from cdcalc.checks import CheckResult, Report
+from cdcalc.checks import CheckResult, report_csv, report_json, run_all
 from cdcalc.cli import ClassSyntaxError, _read_argv, integer, main, parse_class, resolve_class
 import crossversion
 from conftest import random_class
@@ -435,11 +435,10 @@ def test_verify_text_and_csv(capsys):
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
-    def fake_run_all(g_min, g_max):
-        return Report("0.0.0", g_min, g_max,
-                      [CheckResult("demo", {"g": 5}, "1", "2", False, 0)])
+    def fake_rows(g_min, g_max):
+        return [CheckResult("demo", {"g": 5}, "1", "2", False, 0)]
 
-    monkeypatch.setattr("cdcalc.checks.run_all", fake_run_all)
+    monkeypatch.setattr("cdcalc.checks._rows", fake_rows)
     code, out, _ = run_cli(capsys, "verify", "--g-min", "5", "--g-max", "5")
     assert code == 2
     assert "FAIL demo g=5" in out
@@ -448,12 +447,12 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
 
 def _verify_on_a_terminal(capsys, monkeypatch, no_color):
     """Text verify output with one failing row, stdout posing as a terminal; (output, isatty calls)."""
-    def fake_run_all(g_min, g_max):
-        return Report("0.0.0", g_min, g_max, [CheckResult("demo", {"g": 5}, "1", "2", False, 0),
-                                              CheckResult("demo", {"g": 6}, "1", "1", True, 0),
-                                              CheckResult("demo", {"g": 7}, "1", "1", True, 0)])
+    def fake_rows(g_min, g_max):
+        return [CheckResult("demo", {"g": 5}, "1", "2", False, 0),
+                CheckResult("demo", {"g": 6}, "1", "1", True, 0),
+                CheckResult("demo", {"g": 7}, "1", "1", True, 0)]
 
-    monkeypatch.setattr("cdcalc.checks.run_all", fake_run_all)
+    monkeypatch.setattr("cdcalc.checks._rows", fake_rows)
     if no_color is None:
         monkeypatch.delenv("NO_COLOR", raising=False)
     else:
@@ -534,6 +533,57 @@ def test_verify_config_errors(capsys, tmp_path):
     assert code == 1 and "unknown key" in err
     code, _, err = run_cli(capsys, "verify", "--config", str(tmp_path / "missing.cfg"))
     assert code == 1 and "cannot read config" in err
+
+
+def test_verify_refuses_an_empty_config_path(capsys):
+    # an empty path is an unreadable file, not "no config file"
+    for argv in (["--config="], ["--config", ""]):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out, err) == (1, "", "usage error: cannot read config file: "
+                                           "[Errno 2] No such file or directory: ''\n")
+
+
+def _mask_micros(text: str) -> str:
+    """A CSV or JSON report with every `micros` written as 0."""
+    return re.sub(r'(,|"micros": )[0-9]+$', r"\g<1>0", text, flags=re.MULTILINE)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_verify_writes_each_row_before_the_next_check_runs(capsys, monkeypatch, fmt):
+    from cdcalc import checks
+
+    expected = _mask_micros(run_cli(capsys, "verify", "--g-min", "5", "--g-max", "6", "--format", fmt)[1])
+    pencil, seen = checks.check_pencil_pairings, []
+
+    def reading_pencil(g):  # what stdout holds when each pencil check starts
+        seen.append(capsys.readouterr().out)
+        return pencil(g)
+
+    monkeypatch.setattr(checks, "check_pencil_pairings", reading_pencil)
+    code, rest, err = run_cli(capsys, "verify", "--g-min", "5", "--g-max", "6", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert _mask_micros("".join(seen) + rest) == expected
+    # the ids before pencil-pairings in report order are written whole, and none after it
+    first, second = seen
+    assert first.count("kernel-decomposition") == first.count("mult-chern") == 2
+    assert "pencil-pairings" not in first and "pencil-pairings" in second
+    assert not any(later in first + second for later in ("plane-quintic", "pushpull-closed-form"))
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("flags, shown", [(("--g-min", "4"), "[4, 40]"),
+                                          (("--g-min", "9", "--g-max", "8"), "[9, 8]")])
+def test_verify_refuses_a_bad_range_before_writing(capsys, fmt, flags, shown):
+    code, out, err = run_cli(capsys, "verify", *flags, "--format", fmt)
+    assert (code, out, err) == (1, "", f"error: invalid genus range: need 5 <= gMin <= gMax, got {shown}\n")
+
+
+def test_verify_writes_what_the_library_renders(capsys):
+    report = run_all(5, 12)
+    for fmt, render in (("csv", report_csv), ("json", report_json)):
+        code, out, err = run_cli(capsys, "verify", "--g-min", "5", "--g-max", "12", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert _mask_micros(out) == _mask_micros(render(report))
 
 
 def test_config_is_checked_line_by_line(capsys, tmp_path):

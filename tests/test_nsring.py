@@ -1,3 +1,4 @@
+import operator
 import os
 import pathlib
 import pickle
@@ -61,6 +62,15 @@ def test_floats_rejected():
         NSClass(amb, {(0, 1): 0.5})
     with pytest.raises(TypeError):
         amb.theta() * 0.5
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub])
+def test_a_class_and_a_scalar_do_not_add(op):
+    # a scalar is not read as a multiple of the unit class: the sum is refused, both ways round
+    theta = Ambient(6, 4).theta()
+    for left, right in ((theta, 1), (1, theta)):
+        with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for [+-]: "):
+            op(left, right)
 
 
 NOT_INT_OR_FRACTION = ["1/2", " 3e-2 ", "3", Decimal("0.5"), Decimal(2), 0.5, None, 1j]

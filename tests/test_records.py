@@ -36,6 +36,7 @@ from cdcalc import (
     subordinate_class,
     twisted_kernel_class,
 )
+from cdcalc.nsring import Record
 
 RAY = ConeRay(Fraction(2), Fraction(-3))
 CHECK = CheckResult("demo", {"g": 5}, "1", "1", True, 7)
@@ -241,3 +242,10 @@ def test_fast_built_class_clones_through_the_validating_constructor(monkeypatch)
         twin = clone(value)
         assert sorted(built) == names
         assert twin == value and hash(twin) == hash(value) and twin.ambient == value.ambient
+
+
+def test_a_record_needs_two_fields():
+    # `Record`'s value semantics read a record's fields as a tuple, so one field is refused
+    with pytest.raises(TypeError, match=r"^Single needs at least two fields in __slots__$"):
+        class Single(Record):
+            __slots__ = ("only",)
