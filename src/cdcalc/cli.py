@@ -8,6 +8,7 @@ corresponding catalogued class instead.  The ambient (g, d) is always an
 explicit flag pair; nothing is inferred from class names.
 """
 
+import io
 import os
 import re
 import sys
@@ -65,8 +66,7 @@ def _patterns() -> tuple[re.Pattern, ...]:
     try every split of the blanks between them, quadratic in their length.
     Each optional group is written `(?:X|)`, not `(?:X)?`: the same language,
     tried in the same order, which `re` runs as a branch instead of a repeat
-    that saves its marks, about a third faster.  Possessive forms would be
-    faster still, but need 3.11.
+    that saves its marks, about a third faster.
 
     The alphabet's match ends at the first character outside it: ASCII only,
     so every error position is also a byte offset.
@@ -357,32 +357,41 @@ def cmd_cone(args) -> int:
     return 0
 
 
+# A file that sets both keys needs well under a kilobyte; reading no more
+# than this bounds the work and the memory a file such as /dev/zero can cost.
+_CONFIG_BYTES = 4096
+
+
 def _read_config(path: str) -> dict[str, int]:
     """The g-min/g-max values of a key=value file, each line checked as it is read.
 
-    A byte-order mark at the start of the file is skipped.
+    A byte-order mark at the start of the file is skipped, and lines end as
+    in a file read in text mode.
     """
-    values: dict[str, int] = {}
     try:
-        with open(path, encoding="utf-8-sig") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                at = f"{path}:{lineno}:"  # every error names its line
-                if "=" not in line:
-                    raise UsageError(f"{at} expected 'key = value'")
-                key, _, value = (part.strip() for part in line.partition("="))
-                if key not in ("g-min", "g-max"):
-                    raise UsageError(f"{at} unknown key '{key}'")
-                if key in values:
-                    raise UsageError(f"{at} duplicate key '{key}'")
-                try:
-                    values[key] = integer(value)
-                except ValueError:
-                    raise UsageError(f"{at} key '{key}' must be an integer, got {value!r}") from None
+        with open(path, "rb") as handle:
+            data = handle.read(_CONFIG_BYTES + 1)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
+    if len(data) > _CONFIG_BYTES:
+        raise UsageError(f"{path}: a config file holds at most {_CONFIG_BYTES} bytes")
+    values: dict[str, int] = {}
+    for lineno, raw in enumerate(io.StringIO(data.decode("utf-8-sig"), newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        at = f"{path}:{lineno}:"  # every error names its line
+        if "=" not in line:
+            raise UsageError(f"{at} expected 'key = value'")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in ("g-min", "g-max"):
+            raise UsageError(f"{at} unknown key '{key}'")
+        if key in values:
+            raise UsageError(f"{at} duplicate key '{key}'")
+        try:
+            values[key] = integer(value)
+        except ValueError:
+            raise UsageError(f"{at} key '{key}' must be an integer, got {value!r}") from None
     return values
 
 
@@ -561,25 +570,34 @@ def _parse_args(argv: list[str]):
 
 def main(argv: list[str] | None = None) -> int:
     # Exact numbers of any size: lift the integer-string limit (0: none) for this call only.
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     if argv is None:
         argv = sys.argv[1:]
     try:
         args = _read_argv(argv)
         if args is None:
             args = _parse_args(argv)
-        return args.handler(args)
+        code = args.handler(args)
+        if sys.stdout is not None:  # None when fd 1 was closed at start-up, where print writes nothing
+            sys.stdout.flush()  # a failed write raises here, not in the interpreter's last flush
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # the output was not written: a closed pipe, which needs no word, or a full device
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        if sys.stdout is sys.__stdout__:  # fd 1: the interpreter's last flush goes to devnull (`signal` docs)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.close(devnull)
+        return 1
     finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

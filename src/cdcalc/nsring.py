@@ -36,9 +36,9 @@ only when a value is not an int, and never import it.
 
 The class-building path (`_of`, `NSClass`, `format_class`, `eval_top`,
 `pair`) fills its maps and lists with plain loops, not comprehensions.  On
-Python 3.10 and 3.11 a comprehension is a nested function, created and
-called each time it runs, and for the two-term classes of the verification
-sweep that call costs more than the loop it replaces.  Python 3.12 inlines
+Python 3.11 a comprehension is a nested function, created and called each
+time it runs, and for the two-term classes of the verification sweep that
+call costs more than the loop it replaces.  Python 3.12 inlines
 comprehensions (PEP 709), where the loops cost about the same.
 
 Equality of classes is formal (coefficient-wise): no relations among the

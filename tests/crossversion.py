@@ -1,6 +1,6 @@
 """Check the pinned output digests under each Python interpreter given.
 
-    python3 tests/crossversion.py ~/.pyenv/versions/3.10.13/bin/python ~/.pyenv/versions/3.13.0/bin/python
+    python3 tests/crossversion.py python3.11 python3.12 python3.13
 
 Each interpreter runs this script with no arguments, which checks the
 interpreter running it: the command-line and bound-catalogue digests of

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import io
 import json
 import math
 import os
@@ -320,44 +321,37 @@ def test_class_gamma_large_degree_in_bounded_time():
     assert elapsed < 2.0, f"class took {elapsed:.2f}s"
 
 
-def _int_str_limit() -> int:
-    # 0 means no limit, as on Python 3.10.0-3.10.6, which has no such setting
-    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-
-
 def _decimal(n: int) -> str:
-    limit = _int_str_limit()
-    if limit:
-        sys.set_int_max_str_digits(0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return str(n)
     finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 def test_eval_prints_results_of_any_size(capsys):
     # perm(3000, 1500) has 5016 digits, past the interpreter's default limit
-    limit = _int_str_limit()
+    limit = sys.get_int_max_str_digits()
     expected = _decimal(math.perm(3000, 1500))
     assert len(expected) == 5016
     code, out, err = run_cli(capsys, "eval", "--g", "3000", "--d", "1500", "--expr", "1*theta^1500")
     assert (code, out, err) == (0, expected + "\n", "")
-    assert _int_str_limit() == limit
+    assert sys.get_int_max_str_digits() == limit
     code, _, err = run_cli(capsys, "eval", "--g", "3000", "--d", "1500", "--expr", "1*theta^1501")
     assert code == 1 and "error" in err
-    assert _int_str_limit() == limit
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_parse_takes_coefficients_of_any_size(capsys):
-    limit = _int_str_limit()
+    limit = sys.get_int_max_str_digits()
     digits = "9" * 5000
     code, out, err = run_cli(capsys, "eval", "--g", "3", "--d", "1", "--expr", f"{digits}*x")
     assert (code, out, err) == (0, digits + "\n", "")
-    assert _int_str_limit() == limit
+    assert sys.get_int_max_str_digits() == limit
     code, _, err = run_cli(capsys, "eval", "--g", "3", "--d", "1", "--expr", f"{digits}*x %")
     assert code == 1 and "error" in err
-    assert _int_str_limit() == limit
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_pair_verb_with_reference(capsys):
@@ -621,6 +615,108 @@ def test_config_may_start_with_a_byte_order_mark(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", "--config", str(config), "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out)["range"] == {"gMin": 5, "gMax": 6}
+
+
+def test_config_lines_end_as_in_text_mode(capsys, tmp_path):
+    config = tmp_path / "sweep.cfg"
+    config.write_bytes(b"g-min = 5\rg-max = 6\r\n# \x0c\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(config), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["range"] == {"gMin": 5, "gMax": 6}
+
+
+def test_config_file_holds_at_most_4096_bytes(capsys, tmp_path):
+    config = tmp_path / "sweep.cfg"
+    keys = b"g-min = 5\ng-max = 5\n"
+    config.write_bytes(keys + b"#" * (4096 - len(keys)))
+    assert run_cli(capsys, "verify", "--config", str(config))[0] == 0
+    config.write_bytes(keys + b"#" * (4097 - len(keys)))
+    code, out, err = run_cli(capsys, "verify", "--config", str(config))
+    assert (code, out, err) == (1, "", f"usage error: {config}: a config file holds at most 4096 bytes\n")
+
+
+def test_endless_config_is_refused_in_bounded_memory():
+    # The child caps its own address space, so a reader that takes the whole
+    # file fails this test with a MemoryError, not by exhausting the host.
+    program = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20)); "
+               "from cdcalc.cli import main; sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", program, "verify", "--config", "/dev/zero"],
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+                          timeout=30)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "usage error: /dev/zero: a config file holds at most 4096 bytes\n")
+
+
+# One well-formed call per verb, for the tests of what a call does when its
+# output cannot be written.
+EVERY_VERB_ARGV = [
+    ["class", "--name", "dm", "--g", "8", "--m", "1"],
+    ["eval", "--g", "6", "--d", "4", "--expr", "1*theta^4"],
+    ["pair", "--g", "6", "--d", "4", "--a", "1*theta", "--b", "<gamma 6 4 5 1>"],
+    ["pushpull", "--g", "6", "--d", "5", "--k", "1", "--expr", "1/2*theta^2 - 1*x*theta"],
+    ["cone", "--curve", "general", "--g", "6", "--d", "4", "--format", "json"],
+    ["verify", "--g-min", "5", "--g-max", "60"],
+]
+
+
+def run_into(stdout, *argv):
+    """`cdcalc argv` in a fresh interpreter on this checkout, writing to the file `stdout`.
+
+    Its stdout is buffered, as by default, so what is left in the buffer is
+    written by the interpreter's last flush unless `main` flushes it.
+    """
+    program = "import sys; from cdcalc.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-c", program, *argv], env={**env, "PYTHONPATH": str(SRC)},
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv", EVERY_VERB_ARGV, ids=lambda argv: argv[0])
+def test_a_closed_pipe_ends_the_call_quietly(argv):
+    # The read end is closed before the child starts, so its first write fails with EPIPE.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = run_into(write, *argv)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", EVERY_VERB_ARGV, ids=lambda argv: argv[0])
+def test_a_full_device_ends_the_call_with_one_error_line(argv):
+    with open("/dev/full", "wb") as full:
+        done = run_into(full, *argv)
+    assert (done.returncode, done.stderr) == (1, "error: cannot write output: [Errno 28] No space left on device\n")
+
+
+class _Unwritable(io.StringIO):
+    def __init__(self, error: OSError):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize("error, err", [
+    (BrokenPipeError(32, "Broken pipe"), ""),
+    (OSError(28, "No space left on device"), "error: cannot write output: [Errno 28] No space left on device\n"),
+], ids=["closed-pipe", "full-device"])
+def test_an_in_process_caller_s_descriptors_are_left_alone(capsys, monkeypatch, error, err):
+    before = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", _Unwritable(error))
+    code = main(["eval", "--g", "6", "--d", "4", "--expr", "1*theta^4"])
+    after = os.fstat(1)
+    assert (code, capsys.readouterr().err) == (1, err)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+
+
+def test_a_stdout_closed_before_the_call_takes_no_output(monkeypatch):
+    # Python sets sys.stdout to None when fd 1 is closed at start-up; print then writes nothing.
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["eval", "--g", "6", "--d", "4", "--expr", "1*theta^4"]) == 0
 
 
 def test_usage_errors_exit_1(capsys):
