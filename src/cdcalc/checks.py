@@ -44,9 +44,7 @@ from .catalog import (
     system_c1,
     twisted_kernel_class,
 )
-from .nsring import (
-    Ambient, NSClass, Record, _of, _pair_sum, _pairable, _require_ints, format_class, format_rational, pair
-)
+from .nsring import Ambient, NSClass, Record, _of, _pair, _require_ints, format_class, format_rational, pair
 
 __all__ = list(_EXPORTS["checks"])
 
@@ -140,43 +138,24 @@ def pairing_sum_x(g: int) -> Fraction:
     return Fraction(total)
 
 
-def _pairs(b: NSClass, sides) -> list[tuple[int, int]]:
-    """`pair(a, b)` for each class a in `sides`, as (numerator, denominator > 0), each checked in turn
-    as `pair` checks it.
-
-    Pairing is linear in a, so each side's value is its numerators times the pairings of b with
-    its monomials, and a monomial that several sides hold (theta and a divisor class, say) is
-    paired with b once.  b's degree is read once, for every side.
-    """
-    db, by_monomial, values = b.pure_degree(), {}, []
-    for a in sides:
-        if not _pairable(a, b, db):
-            values.append((0, 1))
-            continue
-        total = 0
-        for key, n in a._terms.items():
-            if key not in by_monomial:  # x^i theta^j paired with b, over b's denominator
-                by_monomial[key] = _pair_sum(_of(a.ambient, {key: 1}, 1), b)[0]
-            total += n * by_monomial[key]
-        values.append((total, a.den * b.den))
-    return values
-
-
 # -- individual checks --------------------------------------------------------
 
 def check_pencil_pairings(g: int) -> tuple:
     """Pairings of theta, x and the boundary-candidate ray against the curve
     of divisors subordinate to a degree-(g-1) pencil on C_{g-2}.
 
-    Ring path: subordinate-class expansion and top-degree evaluation.
+    Ring path: subordinate-class expansion and top-degree evaluation, with
+    D_1's value read from those of theta and x by linearity.
     Oracle path: the alternating factorial sums.  Expected (g, g-2, 0).
     """
     if g < 5:
         raise ValueError(f"pencil pairings need g >= 5, got g={g}")
     amb = Ambient(g, g - 2)
     gamma = subordinate_class(amb, LinearSeries(g - 1, 1))
-    # `pair` of each side against gamma; theta and x are each paired once, dm_class's terms reuse them
-    ring_path = tuple([Fraction(*value) for value in _pairs(gamma, (amb.theta(), amb.x(), dm_class(g, 1)))])
+    (theta, den), (x, _) = _pair(amb.theta(), gamma), _pair(amb.x(), gamma)  # both over gamma's denominator
+    dm = dm_class(g, 1)  # (g-2)*theta - g*x: its pairing is linear in those of theta and x
+    ring_path = (Fraction(theta, den), Fraction(x, den),
+                 Fraction(dm._terms[0, 1] * theta + dm._terms[1, 0] * x, dm.den * den))
     s_theta, s_x = pairing_sum_theta(g), pairing_sum_x(g)
     oracle_path = (s_theta, s_x, (g - 2) * s_theta - g * s_x)
     return ring_path, oracle_path, ring_path == oracle_path == (g, g - 2, 0)

@@ -259,9 +259,9 @@ def _emit(args, text_lines: list[str], payload: dict) -> None:
             print(line)
 
 
-def _status_words() -> dict[bool, str]:
-    """passed -> PASS/FAIL, coloured when stdout is a terminal and NO_COLOR is unset or empty."""
-    if sys.stdout.isatty() and not os.environ.get("NO_COLOR"):
+def _status_words(out) -> dict[bool, str]:
+    """passed -> PASS/FAIL, coloured when `out` is a terminal and NO_COLOR is unset or empty."""
+    if out.isatty() and not os.environ.get("NO_COLOR"):
         return {True: "\x1b[32mPASS\x1b[0m", False: "\x1b[31mFAIL\x1b[0m"}
     return {True: "PASS", False: "FAIL"}
 
@@ -402,12 +402,15 @@ def cmd_verify(args) -> int:
     g_min = config.get("g-min", 5) if args.g_min is None else args.g_min
     g_max = config.get("g-max", 40) if args.g_max is None else args.g_max
     rows = _rows(g_min, g_max)  # checks the range before anything is written
+    out = sys.stdout
+    if out is None:  # fd 1 was closed at start-up: run the checks and drop the text, as print does
+        out = SimpleNamespace(write=len, isatty=bool)  # write returns the count, isatty() False
     if args.format == "json":
-        failed = _write_json(sys.stdout, g_min, g_max, rows)
+        failed = _write_json(out, g_min, g_max, rows)
     elif args.format == "csv":
-        failed = _write_csv(sys.stdout, rows)
+        failed = _write_csv(out, rows)
     else:
-        failed = _write_text(sys.stdout, rows, _status_words())  # words decided once per call
+        failed = _write_text(out, rows, _status_words(out))  # words decided once per call
     return 2 if failed else 0
 
 
@@ -582,6 +585,9 @@ def main(argv: list[str] | None = None) -> int:
         if sys.stdout is not None:  # None when fd 1 was closed at start-up, where print writes nothing
             sys.stdout.flush()  # a failed write raises here, not in the interpreter's last flush
         return code
+    except KeyboardInterrupt:  # Ctrl-C: one line, and the shell's code for SIGINT
+        print("interrupted", file=sys.stderr)
+        return 130
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -19,7 +19,9 @@ at a time, down to the lowest x-exponent present.  `eval_top` and `pair`
 share that path: each side's integer numerators are summed against the
 weights into one (numerator, denominator) pair, which the CLI prints as it
 is and the public functions return as a single Fraction.  `pair` never
-builds the product class.
+builds the product class.  Its private body `_pair` is the one function that
+pairs two classes: the CLI prints its value and `checks` reads the pencil
+row's pairings from it.
 
 A class holds integer numerators over one denominator (see `NSClass`), so
 the ring operations, `eval_top`, `pair` and `catalog.pushpull` run in
@@ -502,29 +504,19 @@ def pair(a: NSClass, b: NSClass) -> "Fraction":
 
 
 def _pair(a: NSClass, b: NSClass) -> tuple[int, int]:
-    """`pair`'s value as (numerator, denominator > 0), not necessarily in lowest terms."""
-    return _pair_sum(a, b) if _pairable(a, b, b.pure_degree()) else (0, 1)
+    """`pair`'s value as (numerator, denominator > 0), not necessarily in lowest terms.
 
-
-def _pairable(a: NSClass, b: NSClass, db: int | None) -> bool:
-    """Check a and b (of pure degree db, or None) as `pair` does: one ambient, d <= g, and for two
-    nonzero classes pure degrees that sum to d.  Whether neither class is zero."""
+    Refuses, in this order: two ambients, d > g, and (unless a class is zero)
+    pure degrees that do not sum to d.
+    """
     a._require_same_ambient(b)
     _check_evaluable(a.ambient)
     if not (a._terms and b._terms):
-        return False
-    da = a.pure_degree()
-    if da is None or db is None or da + db != a.ambient.d:
-        raise ValueError(
-            f"degree mismatch: degrees must be pure and sum to d={a.ambient.d}, "
-            f"got {da} and {db}"
-        )
-    return True
-
-
-def _pair_sum(a: NSClass, b: NSClass) -> tuple[int, int]:
-    """The pairing of two nonzero classes `_pairable` has checked, as `_pair` returns it."""
+        return 0, 1
     g, d = a.ambient.g, a.ambient.d
+    da, db = a.pure_degree(), b.pure_degree()
+    if da is None or db is None or da + db != d:
+        raise ValueError(f"degree mismatch: degrees must be pure and sum to d={d}, got {da} and {db}")
     weights = _top_weights(g, d, min(a._terms)[0] + min(b._terms)[0])
     total = 0
     for (i1, _j1), n1 in a._terms.items():

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from cdcalc import (
     Ambient,
     CheckResult,
+    LinearSeries,
     NSClass,
     Report,
     check_kernel_decomposition,
@@ -22,9 +23,11 @@ from cdcalc import (
     check_plane_quintic,
     check_pushpull_closed_form,
     dm_class,
+    pair,
     report_csv,
     report_json,
     run_all,
+    subordinate_class,
 )
 from cdcalc.checks import _render, pairing_sum_theta, pairing_sum_x
 from cdcalc.cli import main
@@ -120,6 +123,15 @@ def test_report_json_writes_a_bool_side_as_json_does_and_refuses_a_list():
 def _rows(report):
     """Rendered (lhs, rhs) per (check id, params) row of a report."""
     return {(c.check_id, tuple(sorted(c.params.items()))): (c.lhs, c.rhs) for c in report.checks}
+
+
+def test_pencil_pairings_ring_path_is_three_pairings():
+    # The check pairs only theta and x with gamma and reads D_1's value from them by linearity.
+    for g in range(5, 61):
+        amb = Ambient(g, g - 2)
+        gamma = subordinate_class(amb, LinearSeries(g - 1, 1))
+        assert check_pencil_pairings(g)[0] == (pair(amb.theta(), gamma), pair(amb.x(), gamma),
+                                               pair(dm_class(g, 1), gamma)), g
 
 
 def test_pencil_pairings_check():

@@ -7,6 +7,7 @@ import os
 import pathlib
 import random
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -713,10 +714,30 @@ def test_an_in_process_caller_s_descriptors_are_left_alone(capsys, monkeypatch, 
     assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
 
 
-def test_a_stdout_closed_before_the_call_takes_no_output(monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["eval", "--g", "6", "--d", "4", "--expr", "1*theta^4"],
+    *(["verify", "--g-min", "5", "--g-max", "6", "--format", form] for form in ("text", "json", "csv")),
+], ids=["eval", "verify-text", "verify-json", "verify-csv"])
+def test_a_stdout_closed_before_the_call_takes_no_output(capsys, monkeypatch, argv):
     # Python sets sys.stdout to None when fd 1 is closed at start-up; print then writes nothing.
     monkeypatch.setattr(sys, "stdout", None)
-    assert main(["eval", "--g", "6", "--d", "4", "--expr", "1*theta^4"]) == 0
+    assert (main(argv), capsys.readouterr().err) == (0, "")
+
+
+def test_an_interrupt_ends_the_call_with_one_line():
+    # SIGINT is sent once the first rows arrive, so the sweep is surely running, whatever the host's speed.
+    program = "import sys; from cdcalc.cli import main; sys.exit(main(sys.argv[1:]))"
+    child = subprocess.Popen([sys.executable, "-c", program, "verify", "--g-min", "5", "--g-max", "480"],
+                             env={**os.environ, "PYTHONPATH": str(SRC)}, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.read(1)
+        child.send_signal(signal.SIGINT)
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    assert (child.returncode, err) == (130, "interrupted\n")
 
 
 def test_usage_errors_exit_1(capsys):

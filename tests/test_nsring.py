@@ -218,6 +218,23 @@ def test_pair_degree_mismatch():
         pair(excess.zero(), excess.x())
 
 
+# `pair` refuses in one order: two ambients, then d > g, then (a zero side pairs to 0) impure degrees.
+@pytest.mark.parametrize("a, b, refusal", [
+    (Ambient(4, 5).theta(), Ambient(6, 4).theta(), "ambient mismatch"),  # d > g on one side
+    (Ambient(6, 4).zero(), Ambient(4, 5).x(), "ambient mismatch"),
+    (Ambient(4, 5).zero(), Ambient(4, 5).theta() + Ambient(4, 5).one(), "evaluation undefined"),
+    (Ambient(6, 4).zero(), Ambient(6, 4).theta() + Ambient(6, 4).one(), None),
+    (Ambient(6, 4).theta() + Ambient(6, 4).one(), Ambient(6, 4).theta() ** 3, "degree mismatch"),
+], ids=["ambients-before-d>g", "ambients-before-zero", "d>g-before-zero", "zero-before-degrees", "degrees"])
+def test_pair_refuses_in_order(a, b, refusal):
+    if refusal is None:
+        assert pair(a, b) == pair(b, a) == 0
+        return
+    for left, right in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match=refusal):
+            pair(left, right)
+
+
 def test_eval_top_large_genus_is_fast():
     amb = Ambient(3 * 10**6, 1)
     start = time.perf_counter()

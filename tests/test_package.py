@@ -95,7 +95,7 @@ def test_each_verb_loads_only_the_modules_it_runs():
 # them all, at about 0.5 ms per 30 lines of code; docstrings and comments cost
 # nothing measurable, so nodes are counted, not bytes.  Raising a ceiling is an
 # edit recorded in CHANGES.md.
-COMPILE_BUDGET = {"class": 9962, "eval": 7667, "pair": 7667, "pushpull": 9962, "cone": 9386, "verify": 12701}
+COMPILE_BUDGET = {"class": 9938, "eval": 7643, "pair": 7643, "pushpull": 9938, "cone": 9362, "verify": 12584}
 
 
 def test_each_verb_compiles_within_its_budget():

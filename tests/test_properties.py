@@ -15,7 +15,7 @@ from cdcalc import (
     chern_character, contains, diagonal_class, dm_class, eval_top, format_class, pair, pushpull,
     subordinate_class, system_c1,
 )
-from cdcalc import checks, nsring
+from cdcalc import nsring
 from cdcalc.cli import parse_class
 
 fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
@@ -56,23 +56,6 @@ def test_pair_agrees_with_eval_top_of_product(classes_ab):
     # pair never builds the product; eval_top goes through the ring product
     a, b = classes_ab
     assert pair(a, b) == eval_top(a * b)
-
-
-@st.composite
-def sides_against_one_class(draw):
-    amb = draw(ambients())
-    p = draw(st.integers(0, amb.d))
-    return draw(homogeneous(amb, amb.d - p)), draw(st.lists(homogeneous(amb, p), max_size=4))
-
-
-@settings(max_examples=300, deadline=None)
-@given(sides_against_one_class())
-@example((NSClass(Ambient(8, 6), {(i, 5 - i): i + 1 for i in range(6)}),
-          [Ambient(8, 6).theta(), Ambient(8, 6).x(), 3 * Ambient(8, 6).theta() - 5 * Ambient(8, 6).x()]))
-def test_pairs_against_one_class_agree_with_eval_top_of_each_product(case):
-    # each monomial the sides hold is paired with b once, and shared by the sides that hold it
-    b, sides = case
-    assert [Fraction(*value) for value in checks._pairs(b, sides)] == [eval_top(a * b) for a in sides]
 
 
 @st.composite
