@@ -311,7 +311,8 @@ def mult_degeneracy_class(g: int, d: int, r: int) -> NSClass:
 
         c_1(G) - (r+1) c_1(K^-1) = r*theta - (r+1)*x.
 
-    Both sides are computed; the simplification is verified, not assumed.
+    The class is assembled from its two determinant terms, not written as the
+    simplified form; the `mult-chern` row of `cdcalc verify` compares the two.
     """
     _require_ints("mult_degeneracy_class argument", g=g, d=d, r=r)
     if not 2 <= d <= g - 1:
@@ -323,13 +324,7 @@ def mult_degeneracy_class(g: int, d: int, r: int) -> NSClass:
     amb = Ambient(g, d)
     n = 2 * g - 2 + r * (g - d) + 1  # degree of the canonical twist K_C (x) L
     induced_det = -system_c1(amb, SystemData(1, n, d))
-    cls = induced_det - (r + 1) * (-canonical_class(amb))
-    expected = _of(amb, {(0, 1): r, (1, 0): -(r + 1)}, 1)
-    if cls != expected:
-        raise ArithmeticError(
-            f"degeneracy class failed to simplify: {cls} != {expected}"
-        )
-    return cls
+    return induced_det - (r + 1) * (-canonical_class(amb))
 
 
 # name -> (params, builder[, ambient]) for every class the CLI builds by name,

@@ -50,14 +50,18 @@ __all__ = list(_EXPORTS["checks"])
 
 
 class CheckResult(Record):
-    """One row of a report; `params` maps str to int, `passed` is a bool and `micros` an int >= 0,
-    the domain `report.schema.json` allows.  The row keeps its own copy of `params`, so a later
-    change to the caller's dict leaves it as checked.  `checks._run` builds its rows unchecked."""
+    """One row of a report; `check_id`, `lhs` and `rhs` are strs, `params` maps str to int, `passed`
+    is a bool and `micros` an int >= 0, the domain `report.schema.json` allows.  The row keeps its
+    own copy of `params`, so a later change to the caller's dict leaves it as checked.
+    `checks._run` builds its rows unchecked."""
 
     __slots__ = ("check_id", "params", "lhs", "rhs", "passed", "micros")
 
     def __init__(self, *values):
         super().__init__(*values)
+        for name in ("check_id", "lhs", "rhs"):
+            if type(text := getattr(self, name)) is not str:
+                raise TypeError(f"CheckResult field {name} must be a str, got {text!r}")
         params, passed, micros = self.params, self.passed, self.micros
         if type(params) is not dict or not all(type(key) is str and type(value) is int
                                                 for key, value in params.items()):
@@ -71,7 +75,8 @@ class CheckResult(Record):
 
 
 class Report(Record):
-    """A verification run: the package version, the genus range and the rows, in report order."""
+    """A verification run: the package version, the genus range (each end at least 5) and the rows,
+    in report order."""
 
     __slots__ = ("version", "g_min", "g_max", "checks")
 
@@ -81,6 +86,9 @@ class Report(Record):
         if type(version) is not str:
             raise TypeError(f"Report field version must be a str, got {version!r}")
         _require_ints("Report field", g_min=g_min, g_max=g_max)
+        for name, genus in (("g_min", g_min), ("g_max", g_max)):
+            if genus < 5:
+                raise ValueError(f"Report field {name} must be at least 5, got {genus}")
         if type(checks) is not list or not set(map(type, checks)) <= {CheckResult}:
             raise TypeError(f"Report field checks must be a list of CheckResult, got {checks!r}")
         super().__init__(version, g_min, g_max, checks)
@@ -180,9 +188,10 @@ def check_kernel_decomposition(g: int) -> tuple:
         raise ValueError(f"kernel decomposition check needs g >= 5, got g={g}")
     data = KernelBundleData(base_degree=2 * g - 3, base_sections=g - 1)
     twisted = twisted_kernel_class(g, data, kernel_twist_h1(data))
-    decomposition = dm_class(g, 1) + Ambient(g, g - 2).x()
-    literal = _of(Ambient(g, g - 2), {(0, 1): g - 2, (1, 0): -(g - 1)}, 1)
-    return twisted, decomposition, twisted == decomposition == literal and twisted.ambient.d == g - 2
+    amb = Ambient(g, g - 2)
+    decomposition = dm_class(g, 1) + amb.x()
+    literal = _of(amb, {(0, 1): g - 2, (1, 0): -(g - 1)}, 1)  # equal classes share an ambient
+    return twisted, decomposition, twisted == decomposition == literal
 
 
 def check_plane_quintic() -> tuple:
@@ -215,8 +224,7 @@ def check_plane_quintic() -> tuple:
     rhs = (2 * twisted, 6, 3, 0, 0, 1)
     return lhs, rhs, (
         h1_bookkeeping == h1_rule == 3
-        and dm == 2 * twisted
-        and twisted.ambient == amb
+        and dm == 2 * twisted  # so twisted lives on C_4 too: equal classes share an ambient
         and lhs[1:] == rhs[1:]
     )
 
@@ -290,48 +298,34 @@ def run_all(g_min: int, g_max: int) -> Report:
     return Report(__version__, g_min, g_max, list(_rows(g_min, g_max)))
 
 
-def _json(value) -> str:
-    """A report field (a str, an int or a bool) as `json.dumps` writes it."""
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    if type(value) is int:
-        return str(value)
-    if type(value) is bool:
-        return "true" if value else "false"
-    raise TypeError(f"a report field must be a str, an int or a bool, got {value!r}")
-
-
-def _json_row(c: CheckResult, micros: int) -> str:
-    # `CheckResult` holds `params` mapping str to int, a bool `passed` and an int `micros`, so those
-    # are written directly; the other fields go through `_json`, which refuses what is not JSON.
-    # The indents are written out: each substituted piece costs a step in the f-string.
-    params = c.params
-    if params:
-        lines = []
-        for key in sorted(params):
-            lines.append(f"        {encode_basestring_ascii(key)}: {params[key]}")
-        params = "{\n" + ",\n".join(lines) + "\n      }"
-    else:
-        params = "{}"
-    lhs = _json(c.lhs)
-    rhs = lhs if c.rhs is c.lhs else _json(c.rhs)  # `_run` gives a passing row one text for both sides
-    return (f'    {{\n      "id": {_json(c.check_id)},\n      "params": {params},\n'
-            f'      "lhs": {lhs},\n      "rhs": {rhs},\n'
-            f'      "passed": {"true" if c.passed else "false"},\n      "micros": {micros}\n    }}')
-
-
 def _write_json(out, g_min: int, g_max: int, rows, include_timing: bool = True,
                 version: str = __version__) -> int:
     """Write the JSON report to `out` as the rows arrive; the number of rows that failed.
 
     The text is what `json.dumps(payload, indent=2)` writes for the report's payload:
-    ASCII only, two-space indents, `{}` and `[]` for empty params and checks.
+    ASCII only, two-space indents, `{}` and `[]` for empty params and checks.  The records hold
+    only what the schema allows, so strings go through the escaper and ints are written as they
+    are.  The indents are written out: each substituted piece costs a step in the f-string.
     """
-    out.write(f'{{\n  "version": {_json(version)},\n  "range": {{\n    "gMin": {_json(g_min)},\n'
-              f'    "gMax": {_json(g_max)}\n  }},\n  "checks": [')
+    out.write(f'{{\n  "version": {encode_basestring_ascii(version)},\n  "range": {{\n'
+              f'    "gMin": {g_min},\n    "gMax": {g_max}\n  }},\n  "checks": [')
     total = failed = 0
     for total, c in enumerate(rows, 1):
-        out.write((",\n" if total > 1 else "\n") + _json_row(c, c.micros if include_timing else 0))
+        params = c.params
+        if params:
+            lines = []
+            for key in sorted(params):
+                lines.append(f"        {encode_basestring_ascii(key)}: {params[key]}")
+            params = "{\n" + ",\n".join(lines) + "\n      }"
+        else:
+            params = "{}"
+        lhs = encode_basestring_ascii(c.lhs)
+        rhs = lhs if c.rhs is c.lhs else encode_basestring_ascii(c.rhs)  # `_run` gives a passing row one text
+        out.write((",\n" if total > 1 else "\n")
+                  + f'    {{\n      "id": {encode_basestring_ascii(c.check_id)},\n      "params": {params},\n'
+                  f'      "lhs": {lhs},\n      "rhs": {rhs},\n'
+                  f'      "passed": {"true" if c.passed else "false"},\n'
+                  f'      "micros": {c.micros if include_timing else 0}\n    }}')
         failed += not c.passed
     out.write(("\n  ]" if total else "]") + f',\n  "summary": {{\n    "total": {total},\n'
               f'    "passed": {total - failed},\n    "failed": {failed}\n  }}\n}}\n')

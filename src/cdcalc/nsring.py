@@ -338,7 +338,8 @@ class NSClass(Record):
         return NotImplemented
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        _require_ints("power argument", exponent=exponent)
+        if exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result, base = self.ambient.one(), self
         while exponent:

@@ -81,9 +81,10 @@ TRICKY = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "θ", "\u2028", "
 texts = st.lists(st.one_of(st.sampled_from(TRICKY), st.characters()), max_size=6).map("".join)
 ints = st.one_of(st.integers(-10**6, 10**6), st.integers(-10**400, 10**400))
 naturals = st.one_of(st.integers(0, 10**6), st.integers(0, 10**400))
+genera = st.one_of(st.integers(5, 10**6), st.integers(5, 10**400))
 params = st.dictionaries(texts, ints, max_size=4)  # the schema's domain, which CheckResult enforces
 rows = st.builds(CheckResult, texts, params, texts, texts, st.booleans(), naturals)
-reports = st.builds(Report, texts, ints, ints, st.lists(rows, max_size=5))
+reports = st.builds(Report, texts, genera, genera, st.lists(rows, max_size=5))
 ROW = CheckResult("pencil-pairings", {"g": 5}, "(5, 3, 0)", "(5, 3, 1)", False, 12)
 
 
@@ -91,7 +92,7 @@ ROW = CheckResult("pencil-pairings", {"g": 5}, "(5, 3, 0)", "(5, 3, 1)", False, 
 @given(reports)
 @example(Report("0.1.0", 5, 5, []))
 @example(Report("0.1.0", 5, 6, [ROW, CheckResult("plane-quintic", {}, "1", "1", True, 3)]))
-@example(Report('v"\\\x01é', -7, 10**300, [CheckResult("x", {"s\u2028": -(10**250), "\ud800": 0},
+@example(Report('v"\\\x01é', 5, 10**300, [CheckResult("x", {"s\u2028": -(10**250), "\ud800": 0},
                                                       "\ud800", "θ", True, 10**250)]))
 def test_report_json_matches_the_reference_renderer(report):
     for include_timing in (True, False):
@@ -111,13 +112,41 @@ def test_report_json_matches_the_reference_renderer_on_a_sweep():
         assert report_json(report, include_timing) == reference_report_json(report, include_timing)
 
 
-def test_report_json_writes_a_bool_side_as_json_does_and_refuses_a_list():
-    # `CheckResult` leaves lhs and rhs unchecked; the JSON writer takes what JSON writes as a field
-    report = Report("0.1.0", 5, 5, [CheckResult("demo", {}, True, False, False, 0)])
-    assert report_json(report) == reference_report_json(report)
-    assert '"lhs": true,\n      "rhs": false,' in report_json(report)
-    with pytest.raises(TypeError, match=r"^a report field must be a str, an int or a bool, got \[1\]$"):
-        report_json(Report("0.1.0", 5, 5, [CheckResult("demo", {}, [1], "1", False, 0)]))
+SCHEMA = jsonschema.Draft7Validator(
+    json.loads(resources.files("cdcalc").joinpath("report.schema.json").read_text()))
+
+# A value of each kind a caller may pass for a record field, in the schema's domain or outside it.
+kinds = st.one_of(texts, st.integers(-10, 10), ints, st.booleans(), st.floats(), st.none(),
+                  st.lists(st.integers(), max_size=2), params)
+
+
+def either(valid):
+    """A field's valid values, or a value of any kind."""
+    return st.one_of(valid, kinds)
+
+
+def accepted(record, *values):
+    """The record built from `values`, or None if the constructor refuses them."""
+    try:
+        return record(*values)
+    except (TypeError, ValueError):
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*map(either, [texts, params, texts, texts, st.booleans(), naturals])), max_size=3),
+       either(texts), either(genera), either(genera), either(st.just(...)))
+@example([("x", {}, 5, True, True, 0)], "0.1.0", 5, 5, ...)
+@example([("x", {}, "1", "1", True, 0)], "0.1.0", -7, 6, ...)
+@example([], "0.1.0", 5, 4, ...)
+def test_every_report_the_records_accept_is_valid_under_the_schema(row_values, version, g_min, g_max,
+                                                                  checks):
+    # `checks` is `...` for the rows the values build; a row the constructor refuses is left out
+    rows = [row for values in row_values if (row := accepted(CheckResult, *values)) is not None]
+    report = accepted(Report, version, g_min, g_max, rows if checks is ... else checks)
+    if report is not None:
+        for include_timing in (True, False):
+            SCHEMA.validate(json.loads(report_json(report, include_timing)))
 
 
 def _rows(report):
@@ -214,6 +243,21 @@ def test_run_all_renders_a_failing_check(monkeypatch, capsys):
     assert "summary: 5 checks, 4 passed, 1 failed" in out
 
 
+def test_a_broken_identity_gives_fail_rows_not_a_cut_off_report(monkeypatch, capsys):
+    # a wrong canonical class breaks r*theta - (r+1)*x: the mult-chern rows fail, the sweep goes on
+    monkeypatch.setattr("cdcalc.catalog.canonical_class", lambda amb: amb.x())
+    assert main(["verify", "--g-min", "5", "--g-max", "6"]) == 2
+    out, err = capsys.readouterr()
+    failing = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+    assert (failing, err) == (["mult-chern", "mult-chern"], "")
+    assert "summary: 10 checks, 8 passed, 2 failed" in out
+    assert main(["verify", "--g-min", "5", "--g-max", "6", "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert err == "" and payload["summary"] == {"total": 10, "passed": 8, "failed": 2}
+    assert [c["id"] for c in payload["checks"] if not c["passed"]] == ["mult-chern", "mult-chern"]
+
+
 
 def _counting_render(monkeypatch):
     """Count the calls to `checks._render`, which `_run` makes once per side it writes."""
@@ -287,9 +331,8 @@ def test_report_json_deterministic_and_valid():
     first = report_json(run_all(5, 6), include_timing=False)
     second = report_json(run_all(5, 6), include_timing=False)
     assert first == second
-    schema = json.loads(resources.files("cdcalc").joinpath("report.schema.json").read_text())
     payload = json.loads(report_json(run_all(5, 6)))
-    jsonschema.validate(payload, schema)
+    SCHEMA.validate(payload)
     assert payload["range"] == {"gMin": 5, "gMax": 6}
     assert payload["summary"]["total"] == payload["summary"]["passed"] + payload["summary"]["failed"]
     assert all(check["passed"] for check in payload["checks"])

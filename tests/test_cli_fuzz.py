@@ -1,12 +1,14 @@
 """Fuzzing the command line and its parser.
 
-Any argv ends in exit code 0, 1 or 2, never a traceback, `parse_class`
+Any argv and any stdout end in exit code 0, 1 or 2, never a traceback, `parse_class`
 answers every string as the reference parser in `parser_oracle` does, and
 the CLI's argv reader reads an argv as argparse does, or leaves it to it.
 """
 
 import contextlib
+import errno
 import io
+import os
 import re
 from fractions import Fraction
 
@@ -106,11 +108,40 @@ def argvs(draw):
     return argv
 
 
+class _FailingWriter(io.RawIOBase):
+    """A raw writer that refuses every write with `code` (EPIPE: `BrokenPipeError`) while `failing`."""
+
+    def __init__(self, code):
+        super().__init__()
+        self.code, self.failing = code, True
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if self.failing:
+            raise OSError(self.code, os.strerror(self.code))
+        return len(data)
+
+
+# The stdouts `main` may meet: a buffer, none (fd 1 closed at start-up), a closed pipe, a full device.
+STDOUTS = {
+    "buffer": io.StringIO,
+    "none": lambda: None,
+    "closed pipe": lambda: io.TextIOWrapper(_FailingWriter(errno.EPIPE), encoding="utf-8"),
+    "full device": lambda: io.TextIOWrapper(_FailingWriter(errno.ENOSPC), encoding="utf-8"),
+}
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argvs())
-def test_main_exits_with_documented_codes(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+@given(argvs(), st.sampled_from(sorted(STDOUTS)))
+def test_main_exits_with_documented_codes(argv, stdout):
+    out = STDOUTS[stdout]()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(argv)
+    if isinstance(out, io.TextIOWrapper):
+        out.buffer.failing = False  # so that closing it, here or at collection, flushes without error
+        out.close()
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
 

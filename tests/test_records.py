@@ -171,6 +171,7 @@ AMB = Ambient(8, 6)
     (lambda bad: mult_degeneracy_class(8, 4, bad), "mult_degeneracy_class argument r"),
     (lambda bad: twisted_kernel_class(bad, KernelBundleData(13, 7), 7), "twisted_kernel_class argument g"),
     (lambda bad: twisted_kernel_class(8, KernelBundleData(13, 7), bad), "twisted_kernel_class argument h1"),
+    (lambda bad: AMB.x() ** bad, "power argument exponent"),
 ])
 @pytest.mark.parametrize("bad", [6.0, True])
 def test_integer_arguments_refuse_floats_and_bools(call, words, bad):
@@ -192,6 +193,11 @@ def test_cone_genus_refuses_floats_and_bools():
     (("0.1.0", 5, True), "Report field g_max must be an int, got True"),
     (("0.1.0", 5, 6, (CHECK,)), "Report field checks must be a list of CheckResult, got "),
     (("0.1.0", 5, 6, [CHECK, {"id": "demo"}]), "Report field checks must be a list of CheckResult, got "),
+    ((5, {}, "1", "1", True, 0), "CheckResult field check_id must be a str, got 5"),
+    (("demo", {}, True, "1", True, 0), "CheckResult field lhs must be a str, got True"),
+    (("demo", {}, ["1"], "1", True, 0), "CheckResult field lhs must be a str, got ['1']"),
+    (("demo", {}, "1", 1.0, True, 0), "CheckResult field rhs must be a str, got 1.0"),
+    (("demo", {}, "1", None, True, 0), "CheckResult field rhs must be a str, got None"),
     (("demo", {}, "1", "1", 1, 0), "CheckResult field passed must be a bool, got 1"),
     (("demo", {}, "1", "1", None, 0), "CheckResult field passed must be a bool, got None"),
     (("demo", {}, "1", "1", True, 7.0), "CheckResult field micros must be an int, got 7.0"),
@@ -206,6 +212,17 @@ def test_report_records_refuse_fields_outside_the_schema(values, words):
 def test_check_result_refuses_negative_micros():
     with pytest.raises(ValueError, match=r"^CheckResult field micros must be nonnegative, got -1$"):
         CheckResult("demo", {}, "1", "1", True, -1)
+
+
+@pytest.mark.parametrize("g_min, g_max, words", [
+    (-7, 6, "Report field g_min must be at least 5, got -7"),
+    (4, 4, "Report field g_min must be at least 5, got 4"),
+    (5, 0, "Report field g_max must be at least 5, got 0"),
+])
+def test_report_refuses_a_genus_below_5(g_min, g_max, words):
+    # the schema's `minimum: 5` for gMin and gMax
+    with pytest.raises(ValueError, match=f"^{re.escape(words)}$"):
+        Report("0.1.0", g_min, g_max)
 
 
 @pytest.mark.parametrize("later", [True, 1.5, float("nan"), "5"])
