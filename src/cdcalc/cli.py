@@ -8,7 +8,6 @@ corresponding catalogued class instead.  The ambient (g, d) is always an
 explicit flag pair; nothing is inferred from class names.
 """
 
-import io
 import os
 import re
 import sys
@@ -17,9 +16,11 @@ from types import SimpleNamespace
 
 # Only the ring is imported here.  With no bytecode cache a call compiles every
 # module it imports, so `catalog` and `conelab` are imported by the code that
-# uses them, and a call loads only what its verb runs.  `eval` and `pair` print
-# the ring's integer (numerator, denominator) pairs, so `fractions` is loaded
-# only by the verbs that build a Fraction: `cone` and `verify`.
+# uses them, and a call loads only what its verb runs.  `coldpath` holds what a
+# well-formed call never runs (argparse, the config reader, the parse-error
+# ranking) and is imported by `_cold` on those paths alone.  `eval` and `pair`
+# print the ring's integer (numerator, denominator) pairs, so `fractions` is
+# loaded only by the verbs that build a Fraction: `cone` and `verify`.
 from .nsring import (Ambient, NSClass, _eval_top, _lowest_terms, _of, _over_lcm, _pair, format_class,
                      format_rational)
 
@@ -51,12 +52,20 @@ def integer(text: str) -> int:
     return int(text)
 
 
-@cache
-def _patterns() -> tuple[re.Pattern, ...]:
-    """The parser's patterns (term, factor, blanks, alphabet, digit runs), compiled on the first parse.
+def _cold():
+    """`coldpath`, the module of what only a declined argv, `--config` or a malformed expression runs."""
+    from . import coldpath
 
-    Compiling them takes about a millisecond, which a call that parses no
-    class expression does not pay.
+    return coldpath
+
+
+@cache
+def _patterns() -> tuple[re.Pattern, re.Pattern]:
+    """The parser's term and factor patterns, compiled on the first parse.
+
+    A call that parses no class expression does not pay for compiling them,
+    and a well-formed expression does not pay for the patterns that rank its
+    errors: those are compiled with `coldpath`.
 
     A term is a sign, a numerator, an optional denominator, then an x factor
     and a theta factor, each optional and each with an optional exponent.
@@ -67,9 +76,6 @@ def _patterns() -> tuple[re.Pattern, ...]:
     Each optional group is written `(?:X|)`, not `(?:X)?`: the same language,
     tried in the same order, which `re` runs as a branch instead of a repeat
     that saves its marks, about a third faster.
-
-    The alphabet's match ends at the first character outside it: ASCII only,
-    so every error position is also a byte offset.
     """
     return (
         re.compile(
@@ -79,41 +85,7 @@ def _patterns() -> tuple[re.Pattern, ...]:
             r"(?:\*[ \t]*(theta)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*|)|)"
         ),
         re.compile(r"\*[ \t]*(x|theta)[ \t]*(?:\^[ \t]*([0-9]+)[ \t]*|)"),
-        re.compile(r"[ \t]*"),
-        re.compile(r"(?:theta|[0-9 \t+*/^x-])*"),
-        re.compile(r"[0-9]+"),
     )
-
-
-# What the grammar wants after each operator.
-_OPERANDS = {"+": "a rational coefficient", "-": "a rational coefficient",
-             "/": "an integer denominator", "*": "'x' or 'theta' after '*'", "^": "an integer exponent"}
-
-
-def _syntax_error(expr: str, message: str, position: int) -> ClassSyntaxError:
-    """The error `expr` reports, given the first grammar error found in it.
-
-    A left-to-right read of the characters ranks the errors: a character
-    outside the alphabet, or a digit run before it that is past Python's
-    int-string limit (a ValueError from `int`), whichever comes first, is
-    reported ahead of any grammar error.
-    """
-    *_, alphabet, digit_runs = _patterns()
-    bad = alphabet.match(expr).end()
-    for digits in digit_runs.findall(expr, 0, bad):
-        int(digits)
-    if bad < len(expr):
-        return ClassSyntaxError(f"unexpected character {expr[bad]!r}", bad)
-    return ClassSyntaxError(message, position)
-
-
-def _missing_operand(expr: str, op: int) -> ClassSyntaxError:
-    """The error for the operator at offset `op`, which the grammar wants an operand after."""
-    blanks = _patterns()[2]
-    at = blanks.match(expr, op + 1).end()
-    if at == len(expr):
-        return _syntax_error(expr, "unexpected end of expression", at)
-    return _syntax_error(expr, f"expected {_OPERANDS[expr[op]]}", at)
 
 
 def parse_class(expr: str, amb: Ambient) -> NSClass:
@@ -137,31 +109,26 @@ def parse_class(expr: str, amb: Ambient) -> NSClass:
     rather than silently truncated: explicit user input should not vanish.
     """
     read: list[tuple[tuple[int, int], int, int]] = []  # (key, numerator, denominator) per term
-    term, factors, blanks, *_ = _patterns()
+    term, factors = _patterns()
     end = 0
     while True:
         m = term.match(expr, end)
         if m is None:  # no coefficient where a term starts
-            at = blanks.match(expr, end).end()
-            if at == len(expr):
-                raise _syntax_error(expr, "empty class expression", 0)
-            if expr[at] in "+-":
-                raise _missing_operand(expr, at)
-            raise _syntax_error(expr, "expected a rational coefficient", at)
+            raise ClassSyntaxError(*_cold().missing_term(expr, end))
         sign, numerator, den, x, x_power, theta, theta_power = m.groups()
         numerator = -int(numerator) if sign == "-" else int(numerator)
         denominator = 1
         if den is not None:
             denominator = int(den)
             if not denominator:
-                raise _syntax_error(expr, "zero denominator", m.start(3))
+                raise ClassSyntaxError(*_cold().syntax_error(expr, "zero denominator", m.start(3)))
         i = (int(x_power) if x_power else 1) if x else 0
         j = (int(theta_power) if theta_power else 1) if theta else 0
         end = m.end()
         while expr.startswith("*", end):
             factor = factors.match(expr, end)
             if factor is None:
-                raise _missing_operand(expr, end)
+                raise ClassSyntaxError(*_cold().missing_operand(expr, end))
             name, power = factor.groups()
             power = int(power) if power else 1
             if name == "x":
@@ -173,15 +140,15 @@ def parse_class(expr: str, amb: Ambient) -> NSClass:
         # An operator left without its operand: '/' after the numerator, '^' after a name.
         if (stop == "/" and den is None and x is None and theta is None
                 or stop == "^" and expr[:end].rstrip(" \t").endswith(("x", "theta"))):
-            raise _missing_operand(expr, end)
+            raise ClassSyntaxError(*_cold().missing_operand(expr, end))
         if i + j > amb.d:
-            raise _syntax_error(
-                expr, f"degree exceeds ambient: term of degree {i + j} on C_{amb.d}", m.start(2))
+            raise ClassSyntaxError(*_cold().syntax_error(
+                expr, f"degree exceeds ambient: term of degree {i + j} on C_{amb.d}", m.start(2)))
         read.append(((i, j), numerator, denominator))
         if not stop:
             return _of(amb, *_over_lcm(read))  # _of drops the terms that cancel and divides out the gcd
         if stop not in "+-":
-            raise _syntax_error(expr, "expected '+' or '-' between terms", end)
+            raise ClassSyntaxError(*_cold().syntax_error(expr, "expected '+' or '-' between terms", end))
 
 
 # -- named class references ---------------------------------------------------
@@ -357,48 +324,10 @@ def cmd_cone(args) -> int:
     return 0
 
 
-# A file that sets both keys needs well under a kilobyte; reading no more
-# than this bounds the work and the memory a file such as /dev/zero can cost.
-_CONFIG_BYTES = 4096
-
-
-def _read_config(path: str) -> dict[str, int]:
-    """The g-min/g-max values of a key=value file, each line checked as it is read.
-
-    A byte-order mark at the start of the file is skipped, and lines end as
-    in a file read in text mode.
-    """
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read(_CONFIG_BYTES + 1)
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from None
-    if len(data) > _CONFIG_BYTES:
-        raise UsageError(f"{path}: a config file holds at most {_CONFIG_BYTES} bytes")
-    values: dict[str, int] = {}
-    for lineno, raw in enumerate(io.StringIO(data.decode("utf-8-sig"), newline=None), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        at = f"{path}:{lineno}:"  # every error names its line
-        if "=" not in line:
-            raise UsageError(f"{at} expected 'key = value'")
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key not in ("g-min", "g-max"):
-            raise UsageError(f"{at} unknown key '{key}'")
-        if key in values:
-            raise UsageError(f"{at} duplicate key '{key}'")
-        try:
-            values[key] = integer(value)
-        except ValueError:
-            raise UsageError(f"{at} key '{key}' must be an integer, got {value!r}") from None
-    return values
-
-
 def cmd_verify(args) -> int:
     from .checks import _rows, _write_csv, _write_json, _write_text
 
-    config = _read_config(args.config) if args.config is not None else {}
+    config = {} if args.config is None else _cold().read_config(sys.modules[__name__], args.config)
     g_min = config.get("g-min", 5) if args.g_min is None else args.g_min
     g_max = config.get("g-max", 40) if args.g_max is None else args.g_max
     rows = _rows(g_min, g_max)  # checks the range before anything is written
@@ -458,7 +387,7 @@ def _verbs() -> dict:
 
 
 def _options(flags, formats) -> dict[str, dict]:
-    """A verb's flags with its `--format`: what `build_parser` adds and `_read_argv` reads."""
+    """A verb's flags with its `--format`: what `coldpath.build_parser` adds and `_read_argv` reads."""
     return {**flags(), "--format": {"choices": formats, "default": "text"}}
 
 
@@ -510,67 +439,6 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**read)
 
 
-def build_parser(argv: list[str] | None = None) -> "argparse.ArgumentParser":
-    """The parser for `argv`: only the verb that `argv` starts with, else every verb.
-
-    When `argv` starts with a verb, argparse hands the rest to that verb
-    alone, and the CLI prints no top-level usage on an error, so only that
-    verb's subparser is built.  Otherwise (no `argv`, or one that starts with
-    an option or an unknown word) every verb is built with its flags:
-    argparse may list the verbs, or still pick one, as in `-x eval`, and
-    must report that verb's own errors.
-    """
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):
-            raise UsageError(message)
-
-    table = _verbs()
-    if argv and argv[0] in table:
-        table = {argv[0]: table[argv[0]]}
-    parser = _Parser(prog="cdcalc", description=__doc__.splitlines()[0])
-    verbs = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
-    for verb, (text, handler, flags, formats) in table.items():
-        sub = verbs.add_parser(verb, help=text)
-        for flag, options in _options(flags, formats).items():
-            sub.add_argument(flag, **options)
-        sub.set_defaults(handler=handler)
-    return parser
-
-
-def _parse_args(argv: list[str]):
-    """argparse's reading of `argv`, for the argv `_read_argv` declines: help and every usage error.
-
-    argparse reads a separate value that starts with '-' as a flag, so
-    `--expr -1*x` is refused as a missing value; the error then names the
-    form that takes such a value.  A verb's flag (or an abbreviation of one)
-    given the value `--` after '=' is refused before argparse reads it:
-    argparse before 3.13 hands the handler an empty list for it, 3.13 the
-    text `--`.  The tokens are read left to right, as argparse reads them, up
-    to a bare `--` or a help flag, which argparse answers first.
-    """
-    table = _verbs()
-    if argv and argv[0] in table:
-        help_flag = "--help"  # argparse's own, with -h
-        names = [*_options(*table[argv[0]][2:]), help_flag]
-        for token in argv[1:argv.index("--") if "--" in argv else None]:
-            flag, _equals, value = token.partition("=")
-            named = [flag] if flag in names else [name for name in names if name.startswith(flag)]
-            if token == "-h" or named == [help_flag]:
-                break
-            if value == "--" and len(named) == 1:
-                raise UsageError(f"argument {named[0]}: '--' is not a value")
-    try:
-        return build_parser(argv).parse_args(argv)
-    except UsageError as exc:
-        missing = re.fullmatch(r"argument (--[a-z-]+): expected one argument", str(exc))
-        if missing and any(token == missing[1] and following.startswith("-")
-                           for token, following in zip(argv, argv[1:])):
-            raise UsageError(f"{exc} (a value that starts with '-' is written {missing[1]}=VALUE)") from None
-        raise
-
-
 def main(argv: list[str] | None = None) -> int:
     # Exact numbers of any size: lift the integer-string limit (0: none) for this call only.
     limit = sys.get_int_max_str_digits()
@@ -580,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _read_argv(argv)
         if args is None:
-            args = _parse_args(argv)
+            args = _cold().parse_args(sys.modules[__name__], argv)  # this module, also as __main__
         code = args.handler(args)
         if sys.stdout is not None:  # None when fd 1 was closed at start-up, where print writes nothing
             sys.stdout.flush()  # a failed write raises here, not in the interpreter's last flush

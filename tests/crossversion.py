@@ -45,7 +45,7 @@ def sweep_digest(g_min: int, g_max: int) -> str:
 
 def edge_argv_differ() -> bool:
     """Whether an argv of `EDGE_ARGV` gets another answer from `cli.main` with every verb's parser."""
-    from cdcalc import cli
+    from cdcalc import cli, coldpath
     from test_package import EDGE_ARGV
 
     def outcome(argv):
@@ -58,12 +58,12 @@ def edge_argv_differ() -> bool:
         return code, out.getvalue(), err.getvalue()
 
     answers = [outcome(argv) for argv in EDGE_ARGV]
-    build_parser = cli.build_parser
-    cli.build_parser = lambda argv=None: build_parser()
+    build_parser = coldpath.build_parser
+    coldpath.build_parser = lambda cli, argv=None: build_parser(cli)
     try:
         return [outcome(argv) for argv in EDGE_ARGV] != answers
     finally:
-        cli.build_parser = build_parser
+        coldpath.build_parser = build_parser
 
 
 # argv -> the usage error `cli.main` prints (exit 1, nothing on stdout) for a
@@ -123,7 +123,7 @@ def reader_edge_argv() -> list[list[str]]:
 
 def reader_disagreements(argvs) -> list[list[str]]:
     """The argv that `cli._read_argv` reads, but not as `vars()` of argparse's namespace."""
-    from cdcalc import cli
+    from cdcalc import cli, coldpath
 
     found = []
     for argv in argvs:
@@ -132,7 +132,7 @@ def reader_disagreements(argvs) -> list[list[str]]:
             continue
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
-                parsed = vars(cli.build_parser(list(argv)).parse_args(list(argv)))
+                parsed = vars(coldpath.build_parser(cli, list(argv)).parse_args(list(argv)))
             except (cli.UsageError, SystemExit):
                 parsed = None
         if vars(read) != parsed:

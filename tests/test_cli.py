@@ -24,6 +24,7 @@ import crossversion
 from conftest import random_class
 
 CLI_SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "cdcalc" / "cli.py"
+COLD_SOURCE = CLI_SOURCE.with_name("coldpath.py")
 SRC = CLI_SOURCE.parents[1]
 
 
@@ -659,6 +660,13 @@ EVERY_VERB_ARGV = [
     ["verify", "--g-min", "5", "--g-max", "60"],
 ]
 
+# The same, and a help flag: argparse's text is output like any verb's.
+WRITING_ARGV = [*EVERY_VERB_ARGV, ["eval", "--help"]]
+
+
+def _writer_id(argv):
+    return "-".join(argv) if "--help" in argv else argv[0]
+
 
 def run_into(stdout, *argv):
     """`cdcalc argv` in a fresh interpreter on this checkout, writing to the file `stdout`.
@@ -672,7 +680,7 @@ def run_into(stdout, *argv):
                           stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
 
 
-@pytest.mark.parametrize("argv", EVERY_VERB_ARGV, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", WRITING_ARGV, ids=_writer_id)
 def test_a_closed_pipe_ends_the_call_quietly(argv):
     # The read end is closed before the child starts, so its first write fails with EPIPE.
     read, write = os.pipe()
@@ -685,7 +693,7 @@ def test_a_closed_pipe_ends_the_call_quietly(argv):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", EVERY_VERB_ARGV, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", WRITING_ARGV, ids=_writer_id)
 def test_a_full_device_ends_the_call_with_one_error_line(argv):
     with open("/dev/full", "wb") as full:
         done = run_into(full, *argv)
@@ -738,6 +746,32 @@ def test_an_interrupt_ends_the_call_with_one_line():
         child.kill()
         child.wait()
     assert (child.returncode, err) == (130, "interrupted\n")
+
+
+# One argv per cold path, with the exit code and the one stderr line of each.
+COLD_PATH_ARGV = [
+    (["eval", "--g", "6"], 1, "usage error: the following arguments are required: --d, --expr\n"),
+    (["eval", "--g", "6", "--d", "4", "--expr", "1*theta^"], 1, "error: unexpected end of expression (byte 8)\n"),
+    (["verify", "--config", "/nonexistent"], 1,
+     "usage error: cannot read config file: [Errno 2] No such file or directory: '/nonexistent'\n"),
+    (["eval", "-h"], 0, ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", COLD_PATH_ARGV, ids=["usage-error", "parse-error", "config", "help"])
+def test_each_cold_path_runs_under_dash_m(argv, code, err):
+    """`python -m cdcalc.cli` runs `cli.py` as `__main__`: a cold path must not import `cdcalc.cli`
+    beside it, whose own `UsageError` that `main` would not catch."""
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "cdcalc.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+                          timeout=60)
+    imports = [line for line in done.stderr.splitlines(keepends=True) if line.startswith("import time:")]
+    imported = [line.rsplit("|", 1)[1].strip() for line in imports]
+    stderr = "".join(line for line in done.stderr.splitlines(keepends=True) if line not in imports)
+    assert (done.returncode, stderr) == (code, err)
+    assert "Traceback" not in done.stderr
+    assert "cdcalc.nsring" in imported and "cdcalc.cli" not in imported
+    assert done.stdout.startswith("usage: cdcalc eval") if code == 0 else done.stdout == ""
 
 
 def test_usage_errors_exit_1(capsys):
@@ -805,23 +839,26 @@ def test_handlers_are_looked_up_when_the_parser_is_built(capsys, monkeypatch):
 
 
 def test_each_verb_is_declared_once():
-    source = CLI_SOURCE.read_text(encoding="utf-8")
+    # `cli` holds the table and the argv reader, `coldpath` the parser built from the table.
+    sources = [CLI_SOURCE.read_text(encoding="utf-8"), COLD_SOURCE.read_text(encoding="utf-8")]
+    source = "".join(sources)
     assert source.count("add_parser(") == 1
     assert source.count("add_argument(") == 1
     assert source.count('"--format"') == 1
     assert "type=int" not in source
     # The parser and the argv reader read one table: no flag is named outside it.  argparse's
-    # own `--help` is not in the table; `_parse_args` names it once, to stop its scan for `--flag=--`.
-    tree = ast.parse(source)
-    table, parse_args = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name in ("_verbs", "_options"):
-            table.update(map(id, ast.walk(node)))
-        elif isinstance(node, ast.FunctionDef) and node.name == "_parse_args":
-            parse_args.update(map(id, ast.walk(node)))
-    named = [(id(node) in parse_args, node.value) for node in ast.walk(tree)
-             if isinstance(node, ast.Constant) and isinstance(node.value, str)
-             and re.fullmatch(r"--[a-z][a-z-]*", node.value) and id(node) not in table]
+    # own `--help` is not in the table; `parse_args` names it once, to stop its scan for `--flag=--`.
+    named = []
+    for tree in map(ast.parse, sources):
+        table, parse_args = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in ("_verbs", "_options"):
+                table.update(map(id, ast.walk(node)))
+            elif isinstance(node, ast.FunctionDef) and node.name == "parse_args":
+                parse_args.update(map(id, ast.walk(node)))
+        named += [(id(node) in parse_args, node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and re.fullmatch(r"--[a-z][a-z-]*", node.value) and id(node) not in table]
     assert named == [(True, "--help")]
     assert source.count("_options(flags, formats)") == 3  # defined, then read by the parser and the reader
 

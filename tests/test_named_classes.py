@@ -19,7 +19,9 @@ from cdcalc import (
     subordinate_class,
     system_c1,
 )
-from cdcalc.cli import UsageError, build_parser, main, resolve_class
+from cdcalc import cli
+from cdcalc.cli import UsageError, main, resolve_class
+from cdcalc.coldpath import build_parser
 
 # One valid argument list per row (two for `ch`, with and without its
 # optional argument), and the constructor call each should amount to.
@@ -76,7 +78,7 @@ def test_reference_arity_message(name):
 
 
 def test_name_choices_and_flags_come_from_the_table():
-    parser = build_parser()
+    parser = build_parser(cli)
     (verbs,) = [a for a in parser._actions if a.dest == "verb"]
     sub = verbs.choices["class"]
     (name_action,) = [a for a in sub._actions if a.dest == "name"]

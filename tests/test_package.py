@@ -16,7 +16,7 @@ PROBE = """
 import json, sys
 import cdcalc.cli
 heavy = ("dataclasses", "inspect", "csv", "cdcalc.checks", "cdcalc.conelab", "cdcalc.catalog",
-         "fractions", "decimal", "numbers", "__future__", "argparse", "gettext", "locale")
+         "cdcalc.coldpath", "fractions", "decimal", "numbers", "__future__", "argparse", "gettext", "locale")
 loaded = sorted(m for m in heavy if m in sys.modules)
 import cdcalc
 missing = [n for n in cdcalc.__all__ if getattr(cdcalc, n, None) is None]
@@ -51,10 +51,11 @@ def test_dir_lists_every_public_name():
 
 
 # The package modules a call loads: only those its verb runs, since with no
-# bytecode cache each one is compiled on every call.  And which of `fractions`,
-# `__future__`, `argparse`, `gettext` and `locale` it loads: only the verbs that
-# build a Fraction load the first, no module imports the second, and argparse
-# (with the other two, which it loads) reads only the argv `cli` does not.
+# bytecode cache each one is compiled on every call; `coldpath` only with an
+# argv `cli` does not read.  And which of `fractions`, `__future__`, `argparse`,
+# `gettext` and `locale` it loads: only the verbs that build a Fraction load the
+# first, no module imports the second, and argparse (with the other two, which
+# it loads) reads only the argv `cli` does not.
 VERB_MODULES = [
     (["class", "--name", "gamma", "--g", "6", "--d", "4", "--n", "5", "--r", "1"], {"catalog"}, set()),
     (["eval", "--g", "6", "--d", "4", "--expr", "1*x^4"], set(), set()),
@@ -66,7 +67,7 @@ VERB_MODULES = [
      {"fractions"}),
     (["cone", "--curve", "hyperelliptic", "--g", "8", "--d", "6"], {"conelab"}, {"fractions"}),
     (["verify", "--g-min", "5", "--g-max", "5"], {"catalog", "checks"}, {"fractions"}),
-    (["eval", "--g", "6", "--d", "4", "--expr", "-1*x^4"], set(), {"argparse", "gettext", "locale"}),
+    (["eval", "--g", "6", "--d", "4", "--expr", "-1*x^4"], {"coldpath"}, {"argparse", "gettext", "locale"}),
 ]
 
 MODULES_PROBE = """
@@ -95,7 +96,7 @@ def test_each_verb_loads_only_the_modules_it_runs():
 # them all, at about 0.5 ms per 30 lines of code; docstrings and comments cost
 # nothing measurable, so nodes are counted, not bytes.  Raising a ceiling is an
 # edit recorded in CHANGES.md.
-COMPILE_BUDGET = {"class": 9883, "eval": 7640, "pair": 7640, "pushpull": 9883, "cone": 9359, "verify": 12492}
+COMPILE_BUDGET = {"class": 8988, "eval": 6745, "pair": 6745, "pushpull": 8988, "cone": 8464, "verify": 11597}
 
 
 def test_each_verb_compiles_within_its_budget():
@@ -253,11 +254,12 @@ def _fields(sub):
 
 
 def test_a_verb_alone_gets_the_flags_it_has_among_all():
-    from cdcalc.cli import build_parser
+    from cdcalc import cli
+    from cdcalc.coldpath import build_parser
 
-    full = _subparsers(build_parser())
+    full = _subparsers(build_parser(cli))
     for verb in full:
-        one = _subparsers(build_parser([verb]))
+        one = _subparsers(build_parser(cli, [verb]))
         assert list(one) == [verb]
         assert _fields(one[verb]) == _fields(full[verb]), verb
 
@@ -273,7 +275,7 @@ EDGE_ARGV = [
 
 
 def test_main_answers_as_with_every_verb_s_flags(capsys, monkeypatch):
-    from cdcalc import cli
+    from cdcalc import cli, coldpath
 
     def outcome(argv):
         try:
@@ -283,8 +285,8 @@ def test_main_answers_as_with_every_verb_s_flags(capsys, monkeypatch):
         return code, *capsys.readouterr()
 
     answers = [outcome(argv) for argv in EDGE_ARGV]
-    build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv=None: build_parser())
+    build_parser = coldpath.build_parser
+    monkeypatch.setattr(coldpath, "build_parser", lambda cli, argv=None: build_parser(cli))
     assert [outcome(argv) for argv in EDGE_ARGV] == answers
 
 
