@@ -21,10 +21,8 @@ without `json.dumps`'s pure-Python encoder, which it runs whenever an indent
 is set.
 """
 
-import csv
 import io
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from math import comb
 from operator import attrgetter
 from time import perf_counter_ns
@@ -307,6 +305,8 @@ def _write_json(out, g_min: int, g_max: int, rows, include_timing: bool = True,
     only what the schema allows, so strings go through the escaper and ints are written as they
     are.  The indents are written out: each substituted piece costs a step in the f-string.
     """
+    from json.encoder import encode_basestring_ascii  # only a JSON report loads `json`
+
     out.write(f'{{\n  "version": {encode_basestring_ascii(version)},\n  "range": {{\n'
               f'    "gMin": {g_min},\n    "gMax": {g_max}\n  }},\n  "checks": [')
     total = failed = 0
@@ -350,6 +350,8 @@ def _params(c: CheckResult) -> list[str]:
 
 def _write_csv(out, rows) -> int:
     """Write the CSV report to `out`, one line per row as it arrives; the number of rows that failed."""
+    import csv  # only a CSV report loads it
+
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["id", "params", "lhs", "rhs", "passed", "micros"])
     failed = 0

@@ -19,10 +19,10 @@ from types import SimpleNamespace
 # uses them, and a call loads only what its verb runs.  `coldpath` holds what a
 # well-formed call never runs (argparse, the config reader, the parse-error
 # ranking) and is imported by `_cold` on those paths alone.  `eval` and `pair`
-# print the ring's integer (numerator, denominator) pairs, so `fractions` is
-# loaded only by the verbs that build a Fraction: `cone` and `verify`.
-from .nsring import (Ambient, NSClass, _eval_top, _lowest_terms, _of, _over_lcm, _pair, format_class,
-                     format_rational)
+# print the ring's integer (numerator, denominator) pairs, and `cone` the
+# integer directions of its rays, so `fractions` is loaded only by the verb
+# that builds a Fraction: `verify`.
+from .nsring import Ambient, NSClass, _eval_top, _lowest_terms, _of, _over_lcm, _pair, format_class
 
 
 class UsageError(Exception):
@@ -299,10 +299,7 @@ def cmd_cone(args) -> int:
         lines = [f"ray: {cone.ray1}", f"ray: {cone.ray2}"]
         payload = {
             "curve": curve.value, "g": args.g, "d": args.d,
-            "rays": [
-                {"theta": format_rational(r.theta), "x": format_rational(r.x)}
-                for r in (cone.ray1, cone.ray2)
-            ],
+            "rays": [dict(zip(("theta", "x"), ray._texts())) for ray in (cone.ray1, cone.ray2)],
         }
         if args.query is not None:
             inside = contains(cone, resolve_class(args.query, Ambient(args.g, args.d)))

@@ -12,10 +12,10 @@ bound by a virtual divisor, or the exclusion of a direction from the cone.
 
 import re
 from enum import Enum
-from fractions import Fraction
+from math import gcd
 
 from . import _EXPORTS
-from .nsring import NSClass, Record, _ratio, _require_ints, _signed_sum, format_rational
+from .nsring import NSClass, Record, _fraction, _lowest_terms, _ratio, _require_ints, _signed_sum
 
 __all__ = list(_EXPORTS["conelab"])
 
@@ -23,34 +23,47 @@ __all__ = list(_EXPORTS["conelab"])
 class ConeRay(Record):
     """A direction a*theta + b*x, up to positive scaling.
 
-    Stored in canonical form: both coefficients exact rationals, scaled so
-    the first nonzero one is +1 or -1.
+    Stored as its integer direction: the positive multiple (p, q) of (a, b)
+    with gcd(p, q) == 1, the one exact representation `Cone2D` and
+    `contains` compute with.  The public reads `theta` and `x` are the
+    canonical Fractions, scaled so the first nonzero one is +1 or -1, built at
+    the edge as `NSClass.terms()` builds them; repr shows them.
     """
 
-    __slots__ = ("theta", "x")
+    __slots__ = ("_p", "_q")
 
-    def __init__(self, theta: Fraction, x: Fraction):
+    def __init__(self, theta: "int | Fraction", x: "int | Fraction"):
         (n1, d1), (n2, d2) = _ratio(theta), _ratio(x)
         p, q = n1 * d2, n2 * d1  # the direction times d1 * d2 > 0
         if not (p or q):
             raise ValueError("a ray needs a nonzero direction")
+        common = gcd(p, q)
+        super().__init__(p // common, q // common)
+
+    @property
+    def theta(self) -> "Fraction":
+        return _fraction()(self._p, abs(self._p or self._q))
+
+    @property
+    def x(self) -> "Fraction":
+        return _fraction()(self._q, abs(self._p or self._q))
+
+    def _texts(self) -> tuple[str, str]:
+        """`theta` and `x` as the text `format_rational` writes for them, read from the integers."""
+        p, q = self._p, self._q
         scale = abs(p or q)
-        super().__init__(Fraction(p, scale), Fraction(q, scale))
+        return _lowest_terms(p, scale), _lowest_terms(q, scale)
 
     def __str__(self) -> str:
-        terms = ((self.theta, "*theta"), (self.x, "*x"))
-        return _signed_sum((format_rational(value), monomial) for value, monomial in terms if value)
+        return _signed_sum(term for term in zip(self._texts(), ("*theta", "*x")) if term[0] != "0")
+
+    def __repr__(self) -> str:
+        return f"ConeRay(theta={self.theta!r}, x={self.x!r})"
 
 
-def _direction(ray: ConeRay) -> tuple[int, int]:
-    """Integers (p, q) with (p, q) a positive multiple of (theta, x): theta is 0 or +-1."""
-    x = ray.x
-    return (ray.theta.numerator * x.denominator, x.numerator)
-
-
-def slope(ray: ConeRay) -> Fraction | None:
+def slope(ray: ConeRay) -> "Fraction | None":
     """The t with ray proportional to theta - t*x, or None for the vertical ray."""
-    return (ray.x if ray.theta < 0 else -ray.x) if ray.theta else None
+    return _fraction()(-ray._q, ray._p) if ray._p else None
 
 
 class Cone2D(Record):
@@ -59,7 +72,7 @@ class Cone2D(Record):
     __slots__ = ("ray1", "ray2")
 
     def __init__(self, ray1: ConeRay, ray2: ConeRay):
-        (p1, q1), (p2, q2) = _direction(ray1), _direction(ray2)
+        p1, q1, p2, q2 = ray1._p, ray1._q, ray2._p, ray2._q
         det = p1 * q2 - p2 * q1
         if not det:
             raise ValueError("degenerate cone: rays are proportional")
@@ -85,8 +98,9 @@ def _divisor_coeffs(c: NSClass) -> tuple[int, int]:  # the numerators: the denom
 
 def contains(cone: Cone2D, query: NSClass | ConeRay) -> bool:
     """Whether the class lies in the cone, by the signs of integer cross products (no Fraction)."""
-    a, b = _direction(query) if isinstance(query, ConeRay) else _divisor_coeffs(query)
-    (p1, q1), (p2, q2) = _direction(cone.ray1), _direction(cone.ray2)
+    a, b = (query._p, query._q) if isinstance(query, ConeRay) else _divisor_coeffs(query)
+    ray1, ray2 = cone.ray1, cone.ray2
+    p1, q1, p2, q2 = ray1._p, ray1._q, ray2._p, ray2._q
     s, t = q2 * a - p2 * b, p1 * b - q1 * a  # the coordinates in the rays' basis times the determinant
     return (s >= 0 and t >= 0) if p1 * q2 > p2 * q1 else (s <= 0 and t <= 0)
 
@@ -189,18 +203,11 @@ def bounds_to_json(entries: list[BoundEntry]) -> str:
     """Serialize catalog entries deterministically (fixed key order, canonical rationals)."""
     import json
 
-    payload = [
-        {
-            "curveClass": e.curve.value,
-            "g": e.g,
-            "d": e.d,
-            "rayTheta": format_rational(e.ray.theta),
-            "rayX": format_rational(e.ray.x),
-            "status": e.status.value,
-            "paperRef": e.source,
-        }
-        for e in entries
-    ]
+    payload = []
+    for e in entries:
+        theta, x = e.ray._texts()
+        payload.append({"curveClass": e.curve.value, "g": e.g, "d": e.d, "rayTheta": theta, "rayX": x,
+                        "status": e.status.value, "paperRef": e.source})
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -213,13 +220,14 @@ def _field(record: dict, name: str, kind: type):
     return value
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")  # Fraction(str) also reads " 1", "1e3", "٣"
+# Compiled by `re` on the first read, so a `cone` call does not pay for it.
+_RATIONAL = r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?"  # Fraction(str) also reads " 1", "1e3", "٣"
 
 
-def _rational(text: str) -> Fraction:
-    if not _RATIONAL.fullmatch(text):
+def _rational(text: str) -> "Fraction":
+    if not re.fullmatch(_RATIONAL, text):
         raise ValueError(text)
-    return Fraction(text)
+    return _fraction()(text)
 
 
 def _parsed_field(record: dict, name: str, parse):

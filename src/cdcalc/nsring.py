@@ -29,7 +29,9 @@ integers.  `_ratio` reads every exact input, `_over_lcm` is the one place
 (key, numerator, denominator) triples are put over a common denominator (for
 `NSClass` and `cli.parse_class`), and `_lowest_terms` writes every exact
 value, so Fractions are built only at the edges: `terms()`, `coefficient()`,
-pickling, the reciprocal in `/` and the scalars `eval_top` and `pair` return.
+pickling, the reciprocal in `/`, the scalars `eval_top` and `pair` return,
+and the coordinates and slope of a cone ray (`conelab`), which is stored as
+an integer direction.
 `fractions` (with `decimal` and `numbers`) is imported by the first edge that
 returns a Fraction, through `_fraction`; a command that prints integers and
 classes never loads it.  No Fraction can exist before that module is loaded,

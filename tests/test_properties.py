@@ -1,5 +1,6 @@
 """Property checks for the integer paths: pairing, evaluation, binomials, push-pull, parsing, cones."""
 
+import json
 import pickle
 import re
 from fractions import Fraction
@@ -11,9 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import cone_oracle
 from cdcalc import (
-    Ambient, Cone2D, ConeRay, LinearSeries, NSClass, SystemData, binom, c1d_class, canonical_class,
-    chern_character, contains, diagonal_class, dm_class, eval_top, format_class, pair, pushpull,
-    subordinate_class, system_c1,
+    Ambient, BoundEntry, BoundStatus, Cone2D, ConeRay, CurveClass, LinearSeries, NSClass, SystemData, binom,
+    bounds_to_json, c1d_class, canonical_class, chern_character, contains, diagonal_class, dm_class, eval_top,
+    format_class, format_rational, pair, pushpull, subordinate_class, system_c1,
 )
 from cdcalc import nsring
 from cdcalc.cli import parse_class
@@ -409,6 +410,35 @@ def test_cone2d_matches_the_fraction_oracle(case):
         return
     cone = Cone2D(ConeRay(*d1), ConeRay(*d2))
     assert ((cone.ray1.theta, cone.ray1.x), (cone.ray2.theta, cone.ray2.x)) == expected
+
+
+def _oracle_text(ray: cone_oracle.Ray) -> str:
+    """The ray as `format_rational` writes the oracle's Fractions: theta's term first, zero terms left out."""
+    theta, x = ray
+    if not theta:
+        return f"{format_rational(x)}*x"
+    text = f"{format_rational(theta)}*theta"
+    return text if not x else f"{text} {'-' if x < 0 else '+'} {format_rational(abs(x))}*x"
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone_cases())
+@example(((1, -2), (3, -6)))
+@example(((1, -2), (-1, 2)))
+@example(((0, Fraction(1, 3)), (0, 5)))
+@example(((Fraction(-4, 6), 8), (-1, 12)))
+def test_integer_rays_compare_and_print_as_the_fraction_oracle(case):
+    """Rays are equal, and hash alike, exactly when the oracle's rays are equal; `str` and the
+    catalogue JSON's `rayTheta`/`rayX` are the text `format_rational` writes for the oracle's Fractions."""
+    rays, expected = [ConeRay(*d) for d in case], [cone_oracle.ray(*d) for d in case]
+    equal = expected[0] == expected[1]
+    assert (rays[0] == rays[1]) is equal and (rays[1] == rays[0]) is equal
+    if equal:  # unequal rays may share a hash, as hash(-1) == hash(-2)
+        assert hash(rays[0]) == hash(rays[1])
+    entries = [BoundEntry(CurveClass.GENERAL, 8, 6, ray, BoundStatus.EFFECTIVE_BOUND, "demo") for ray in rays]
+    for ray, oracle, record in zip(rays, expected, json.loads(bounds_to_json(entries))):
+        assert str(ray) == _oracle_text(oracle)
+        assert (record["rayTheta"], record["rayX"]) == (format_rational(oracle.theta), format_rational(oracle.x))
 
 
 @st.composite
