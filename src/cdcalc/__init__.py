@@ -38,7 +38,7 @@ _EXPORTS = {
     "checks": (
         "CheckResult", "Report", "check_kernel_decomposition", "check_mult_and_chern",
         "check_pencil_pairings", "check_plane_quintic", "check_pushpull_closed_form",
-        "pairing_sum_theta", "pairing_sum_x", "report_csv", "report_json", "run_all",
+        "pairing_sum_theta", "pairing_sum_x", "report_json", "run_all",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -9,19 +9,21 @@ Each `check_*` returns `(lhs, rhs, passed)` with both sides exact, and
 
 Report ordering is fixed and planned, not sorted: `_rows` runs the checks by
 id in sorted order and each id's rows ascending in the parameters (g, then
-m), and yields each row as it is computed.  One writer per format (text, CSV,
-JSON) writes the rows to a file object as they arrive and counts the
-failures; `report_json`, `report_csv` and `cdcalc verify` all use them, so a
-sweep is never held as one string.  Text and CSV read a row's params through
-one `k=v` view, `_params`.  The JSON rendering is byte-deterministic once
-per-check timings are masked.  `_write_json` fills a fixed template with each
-field's JSON text (strings through the C escaper `json` itself uses, ints
-through `str`) and writes exactly what `json.dumps(payload, indent=2)` would,
-without `json.dumps`'s pure-Python encoder, which it runs whenever an indent
-is set.
+m), and yields each row as it is computed.  `_write` is the one loop over a
+report's rows: it counts them and their failures, and hands each row, as it
+arrives, to the row writer of its format (text, CSV or JSON), then the counts
+to that format's summary writer.  `report_json` and `cdcalc verify` both
+write through it, so a sweep is never held as one string.  Text and CSV read
+a row's params through one `k=v` view, `_params`.  The JSON rendering is
+byte-deterministic once per-check timings are masked.  `_json` fills a fixed
+template with each field's JSON text (strings through the C escaper `json`
+itself uses, ints through `str`) and writes exactly what
+`json.dumps(payload, indent=2)` would, without `json.dumps`'s pure-Python
+encoder, which it runs whenever an indent is set.
 """
 
 import io
+import os
 from fractions import Fraction
 from math import comb
 from operator import attrgetter
@@ -296,11 +298,69 @@ def run_all(g_min: int, g_max: int) -> Report:
     return Report(__version__, g_min, g_max, list(_rows(g_min, g_max)))
 
 
-def _write_json(out, g_min: int, g_max: int, rows, include_timing: bool = True,
-                version: str = __version__) -> int:
-    """Write the JSON report to `out` as the rows arrive; the number of rows that failed.
+def _write(out, fmt: str, g_min: int, g_max: int, rows, include_timing: bool = True,
+           version: str = __version__) -> int:
+    """Write the report of `rows` to `out` in `fmt` ("text", "csv" or "json") as the rows arrive;
+    the number of rows that failed.  The one loop over a report's rows: a format writes its head
+    when called and returns its writer for a row and for the summary of the counts."""
+    row, summary = {"text": _text, "csv": _csv, "json": _json}[fmt](out, g_min, g_max, include_timing, version)
+    total = failed = 0
+    for total, c in enumerate(rows, 1):
+        row(total, c)
+        failed += not c.passed
+    summary(total, failed)
+    return failed
 
-    The text is what `json.dumps(payload, indent=2)` writes for the report's payload:
+
+def report_json(report: Report, include_timing: bool = True) -> str:
+    """Render a report as JSON with stable key order.
+
+    With include_timing=False the micros fields are zeroed, making the
+    output byte-identical across runs with the same inputs.
+    """
+    _write(buffer := io.StringIO(), "json", report.g_min, report.g_max, report.checks, include_timing,
+           report.version)
+    return buffer.getvalue()
+
+
+def _params(c: CheckResult) -> list[str]:
+    """A row's params as "k=v" words in key order: the one view the text and CSV reports read."""
+    return [f"{k}={v}" for k, v in sorted(c.params.items())]
+
+
+def _text(out, g_min: int, g_max: int, include_timing: bool, version: str):
+    """Each row's status word, id and params (both sides if it failed), then a summary line.  The
+    words are coloured when `out` is a terminal and NO_COLOR is unset or empty, decided once per call."""
+    colour = out.isatty() and not os.environ.get("NO_COLOR")
+    status = ("\x1b[31mFAIL\x1b[0m", "\x1b[32mPASS\x1b[0m") if colour else ("FAIL", "PASS")  # by `passed`
+
+    def row(n, c):
+        out.write(" ".join([status[c.passed], c.check_id, *_params(c)])
+                  + ("\n" if c.passed else f"  lhs={c.lhs}  rhs={c.rhs}\n"))
+
+    def summary(total, failed):
+        out.write(f"summary: {total} checks, {total - failed} passed, {failed} failed\n")
+
+    return row, summary
+
+
+def _csv(out, g_min: int, g_max: int, include_timing: bool, version: str):
+    """A header line, then one line per row; no summary."""
+    import csv  # only a CSV report loads it
+
+    writerow = csv.writer(out, lineterminator="\n").writerow
+    writerow(["id", "params", "lhs", "rhs", "passed", "micros"])
+
+    def row(n, c):
+        writerow([c.check_id, ";".join(_params(c)), c.lhs, c.rhs, "true" if c.passed else "false",
+                  c.micros if include_timing else 0])
+
+    return row, lambda total, failed: None
+
+
+def _json(out, g_min: int, g_max: int, include_timing: bool, version: str):
+    """The text `json.dumps(payload, indent=2)` writes for the report's payload.
+
     ASCII only, two-space indents, `{}` and `[]` for empty params and checks.  The records hold
     only what the schema allows, so strings go through the escaper and ints are written as they
     are.  The indents are written out: each substituted piece costs a step in the f-string.
@@ -309,8 +369,8 @@ def _write_json(out, g_min: int, g_max: int, rows, include_timing: bool = True,
 
     out.write(f'{{\n  "version": {encode_basestring_ascii(version)},\n  "range": {{\n'
               f'    "gMin": {g_min},\n    "gMax": {g_max}\n  }},\n  "checks": [')
-    total = failed = 0
-    for total, c in enumerate(rows, 1):
+
+    def row(n, c):
         params = c.params
         if params:
             lines = []
@@ -321,60 +381,14 @@ def _write_json(out, g_min: int, g_max: int, rows, include_timing: bool = True,
             params = "{}"
         lhs = encode_basestring_ascii(c.lhs)
         rhs = lhs if c.rhs is c.lhs else encode_basestring_ascii(c.rhs)  # `_run` gives a passing row one text
-        out.write((",\n" if total > 1 else "\n")
+        out.write((",\n" if n > 1 else "\n")
                   + f'    {{\n      "id": {encode_basestring_ascii(c.check_id)},\n      "params": {params},\n'
                   f'      "lhs": {lhs},\n      "rhs": {rhs},\n'
                   f'      "passed": {"true" if c.passed else "false"},\n'
                   f'      "micros": {c.micros if include_timing else 0}\n    }}')
-        failed += not c.passed
-    out.write(("\n  ]" if total else "]") + f',\n  "summary": {{\n    "total": {total},\n'
-              f'    "passed": {total - failed},\n    "failed": {failed}\n  }}\n}}\n')
-    return failed
 
+    def summary(total, failed):
+        out.write(("\n  ]" if total else "]") + f',\n  "summary": {{\n    "total": {total},\n'
+                  f'    "passed": {total - failed},\n    "failed": {failed}\n  }}\n}}\n')
 
-def report_json(report: Report, include_timing: bool = True) -> str:
-    """Render a report as JSON with stable key order.
-
-    With include_timing=False the micros fields are zeroed, making the
-    output byte-identical across runs with the same inputs.
-    """
-    _write_json(buffer := io.StringIO(), report.g_min, report.g_max, report.checks, include_timing,
-                report.version)
-    return buffer.getvalue()
-
-
-def _params(c: CheckResult) -> list[str]:
-    """A row's params as "k=v" words in key order: the one view the text and CSV reports read."""
-    return [f"{k}={v}" for k, v in sorted(c.params.items())]
-
-
-def _write_csv(out, rows) -> int:
-    """Write the CSV report to `out`, one line per row as it arrives; the number of rows that failed."""
-    import csv  # only a CSV report loads it
-
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["id", "params", "lhs", "rhs", "passed", "micros"])
-    failed = 0
-    for c in rows:
-        writer.writerow([c.check_id, ";".join(_params(c)), c.lhs, c.rhs, "true" if c.passed else "false",
-                         c.micros])
-        failed += not c.passed
-    return failed
-
-
-def report_csv(report: Report) -> str:
-    """Flatten a report to CSV, one row per check."""
-    _write_csv(buffer := io.StringIO(), report.checks)
-    return buffer.getvalue()
-
-
-def _write_text(out, rows, status: dict[bool, str]) -> int:
-    """Write each row's status word, id and params (both sides if it failed) to `out` as it arrives,
-    then a summary; the number of rows that failed."""
-    total = failed = 0
-    for total, c in enumerate(rows, 1):
-        out.write(" ".join([status[c.passed], c.check_id, *_params(c)])
-                  + ("\n" if c.passed else f"  lhs={c.lhs}  rhs={c.rhs}\n"))
-        failed += not c.passed
-    out.write(f"summary: {total} checks, {total - failed} passed, {failed} failed\n")
-    return failed
+    return row, summary

@@ -226,13 +226,6 @@ def _emit(args, text_lines: list[str], payload: dict) -> None:
             print(line)
 
 
-def _status_words(out) -> dict[bool, str]:
-    """passed -> PASS/FAIL, coloured when `out` is a terminal and NO_COLOR is unset or empty."""
-    if out.isatty() and not os.environ.get("NO_COLOR"):
-        return {True: "\x1b[32mPASS\x1b[0m", False: "\x1b[31mFAIL\x1b[0m"}
-    return {True: "PASS", False: "FAIL"}
-
-
 # -- verb handlers ------------------------------------------------------------
 
 def cmd_class(args) -> int:
@@ -322,7 +315,7 @@ def cmd_cone(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .checks import _rows, _write_csv, _write_json, _write_text
+    from .checks import _rows, _write
 
     config = {} if args.config is None else _cold().read_config(sys.modules[__name__], args.config)
     g_min = config.get("g-min", 5) if args.g_min is None else args.g_min
@@ -331,13 +324,7 @@ def cmd_verify(args) -> int:
     out = sys.stdout
     if out is None:  # fd 1 was closed at start-up: run the checks and drop the text, as print does
         out = SimpleNamespace(write=len, isatty=bool)  # write returns the count, isatty() False
-    if args.format == "json":
-        failed = _write_json(out, g_min, g_max, rows)
-    elif args.format == "csv":
-        failed = _write_csv(out, rows)
-    else:
-        failed = _write_text(out, rows, _status_words(out))  # words decided once per call
-    return 2 if failed else 0
+    return 2 if _write(out, args.format, g_min, g_max, rows) else 0
 
 
 # -- argument parsing ---------------------------------------------------------

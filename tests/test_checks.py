@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import platform
 import subprocess
@@ -24,7 +26,6 @@ from cdcalc import (
     check_pushpull_closed_form,
     dm_class,
     pair,
-    report_csv,
     report_json,
     run_all,
     subordinate_class,
@@ -256,6 +257,11 @@ def test_a_broken_identity_gives_fail_rows_not_a_cut_off_report(monkeypatch, cap
     payload = json.loads(out)
     assert err == "" and payload["summary"] == {"total": 10, "passed": 8, "failed": 2}
     assert [c["id"] for c in payload["checks"] if not c["passed"]] == ["mult-chern", "mult-chern"]
+    assert main(["verify", "--g-min", "5", "--g-max", "6", "--format", "csv"]) == 2
+    out, err = capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(out)))
+    assert err == "" and rows[0][4] == "passed" and len(rows) == 11
+    assert [(row[0], row[4]) for row in rows[1:] if row[4] != "true"] == [("mult-chern", "false")] * 2
 
 
 
@@ -338,9 +344,9 @@ def test_report_json_deterministic_and_valid():
     assert all(check["passed"] for check in payload["checks"])
 
 
-def test_report_csv_shape():
-    report = run_all(5, 8)
-    lines = report_csv(report).splitlines()
+def test_report_csv_shape(capsys):
+    assert main(["verify", "--g-min", "5", "--g-max", "8", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "id,params,lhs,rhs,passed,micros"
-    assert len(lines) == report.total + 1
+    assert len(lines) == run_all(5, 8).total + 1
     assert lines[1].startswith("kernel-decomposition,g=5,")

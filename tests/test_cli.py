@@ -1,4 +1,5 @@
 import ast
+import csv
 import hashlib
 import io
 import json
@@ -18,7 +19,7 @@ import jsonschema
 import pytest
 
 from cdcalc import Ambient, NSClass, diagonal_class, format_class
-from cdcalc.checks import CheckResult, report_csv, report_json, run_all
+from cdcalc.checks import CheckResult, report_json, run_all
 from cdcalc.cli import ClassSyntaxError, _read_argv, integer, main, parse_class, resolve_class
 import crossversion
 from conftest import random_class
@@ -575,11 +576,19 @@ def test_verify_refuses_a_bad_range_before_writing(capsys, fmt, flags, shown):
 
 
 def test_verify_writes_what_the_library_renders(capsys):
-    report = run_all(5, 12)
-    for fmt, render in (("csv", report_csv), ("json", report_json)):
-        code, out, err = run_cli(capsys, "verify", "--g-min", "5", "--g-max", "12", "--format", fmt)
-        assert (code, err) == (0, "")
-        assert _mask_micros(out) == _mask_micros(render(report))
+    library = report_json(run_all(5, 12), include_timing=False)
+    code, out, err = run_cli(capsys, "verify", "--g-min", "5", "--g-max", "12", "--format", "json")
+    assert (code, err) == (0, "")
+    assert _mask_micros(out) == library
+    # each CSV row holds the JSON row's fields, params as `k=v` words joined by ';'
+    code, out, err = run_cli(capsys, "verify", "--g-min", "5", "--g-max", "12", "--format", "csv")
+    assert (code, err) == (0, "")
+    head, *rows = csv.reader(io.StringIO(out))
+    assert head == ["id", "params", "lhs", "rhs", "passed", "micros"]
+    expected = [[c["id"], ";".join(f"{k}={v}" for k, v in c["params"].items()), c["lhs"], c["rhs"],
+                 "true" if c["passed"] else "false", "0"] for c in json.loads(library)["checks"]]
+    assert [[*row[:5], "0"] for row in rows] == expected
+    assert all(micros.isdigit() for *_, micros in rows)
 
 
 def test_config_is_checked_line_by_line(capsys, tmp_path):
@@ -734,7 +743,10 @@ def test_a_stdout_closed_before_the_call_takes_no_output(capsys, monkeypatch, ar
 
 def test_an_interrupt_ends_the_call_with_one_line():
     # SIGINT is sent once the first rows arrive, so the sweep is surely running, whatever the host's speed.
-    program = "import sys; from cdcalc.cli import main; sys.exit(main(sys.argv[1:]))"
+    # The child restores Python's SIGINT handler: a background job of a non-interactive shell starts
+    # with SIGINT ignored, and a child inherits that.
+    program = ("import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+               "from cdcalc.cli import main; sys.exit(main(sys.argv[1:]))")
     child = subprocess.Popen([sys.executable, "-c", program, "verify", "--g-min", "5", "--g-max", "480"],
                              env={**os.environ, "PYTHONPATH": str(SRC)}, stdout=subprocess.PIPE,
                              stderr=subprocess.PIPE, text=True)

@@ -103,7 +103,7 @@ def test_each_verb_loads_only_the_modules_it_runs():
 # them all, at about 0.5 ms per 30 lines of code; docstrings and comments cost
 # nothing measurable, so nodes are counted, not bytes.  Raising a ceiling is an
 # edit recorded in CHANGES.md.
-COMPILE_BUDGET = {"class": 8985, "eval": 6742, "pair": 6742, "pushpull": 8985, "cone": 8554, "verify": 11594}
+COMPILE_BUDGET = {"class": 8895, "eval": 6652, "pair": 6652, "pushpull": 8895, "cone": 8464, "verify": 11577}
 
 
 def test_each_verb_compiles_within_its_budget():
@@ -447,7 +447,7 @@ def test_printers_write_no_fraction_through_str(monkeypatch):
 
     from cdcalc import (Ambient, ConeRay, LinearSeries, bounds_to_json, format_class,
                         format_rational, full_catalog, subordinate_class)
-    from cdcalc.checks import report_csv, report_json, run_all
+    from cdcalc.checks import report_json, run_all
     from cdcalc.cli import main
 
     def refuse(self):
@@ -460,8 +460,28 @@ def test_printers_write_no_fraction_through_str(monkeypatch):
     assert (format_rational(Fraction(3, 2)), format_rational(Fraction(7))) == ("3/2", "7")
     assert str(ConeRay(2, -3)) == "1*theta - 3/2*x"
     assert '"rayX": "-3/2"' in bounds_to_json(full_catalog(2, 12))
-    assert report_json(report, include_timing=False) and report_csv(report)
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(["cone", "--curve", "general", "--g", "6", "--d", "4", "--format", "json"])
-    assert code == 0 and '"-3/2"' in out.getvalue()
+    assert report_json(report, include_timing=False)
+    for argv in (["verify", "--g-min", "5", "--g-max", "7", "--format", "csv"],
+                 ["cone", "--curve", "general", "--g", "6", "--d", "4", "--format", "json"]):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(argv) == 0
+    assert '"-3/2"' in out.getvalue()
+
+
+def test_each_mutant_names_code_that_occurs_once():
+    """Every row of `tests/mutants.py` finds its old text exactly once in `src/`, in its own file."""
+    import mutants
+
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    counts = {mutant.name: (sum(text.count(mutant.old) for text in sources.values()),
+                            sources.get(mutant.path, "").count(mutant.old)) for mutant in mutants.MUTANTS}
+    assert {name: count for name, count in counts.items() if count != (1, 1)} == {}
+    for mutant in mutants.MUTANTS:
+        assert mutant.old != mutant.new, mutant.name
+        if isinstance(mutant.tests, str):
+            assert mutant.tests.startswith("equivalent: "), mutant.name
+        else:
+            assert mutant.tests, mutant.name
+            assert all((ROOT / "tests" / name).is_file() for name in mutant.tests), mutant.name
+    assert len({mutant.name for mutant in mutants.MUTANTS}) == len(mutants.MUTANTS)
