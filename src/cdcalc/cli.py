@@ -114,21 +114,21 @@ def parse_class(expr: str, amb: Ambient) -> NSClass:
     while True:
         m = term.match(expr, end)
         if m is None:  # no coefficient where a term starts
-            raise ClassSyntaxError(*_cold().missing_term(expr, end))
+            raise _cold().missing_term(expr, end)
         sign, numerator, den, x, x_power, theta, theta_power = m.groups()
         numerator = -int(numerator) if sign == "-" else int(numerator)
         denominator = 1
         if den is not None:
             denominator = int(den)
             if not denominator:
-                raise ClassSyntaxError(*_cold().syntax_error(expr, "zero denominator", m.start(3)))
+                raise _cold().syntax_error(expr, "zero denominator", m.start(3))
         i = (int(x_power) if x_power else 1) if x else 0
         j = (int(theta_power) if theta_power else 1) if theta else 0
         end = m.end()
         while expr.startswith("*", end):
             factor = factors.match(expr, end)
             if factor is None:
-                raise ClassSyntaxError(*_cold().missing_operand(expr, end))
+                raise _cold().missing_operand(expr, end)
             name, power = factor.groups()
             power = int(power) if power else 1
             if name == "x":
@@ -140,15 +140,15 @@ def parse_class(expr: str, amb: Ambient) -> NSClass:
         # An operator left without its operand: '/' after the numerator, '^' after a name.
         if (stop == "/" and den is None and x is None and theta is None
                 or stop == "^" and expr[:end].rstrip(" \t").endswith(("x", "theta"))):
-            raise ClassSyntaxError(*_cold().missing_operand(expr, end))
+            raise _cold().missing_operand(expr, end)
         if i + j > amb.d:
-            raise ClassSyntaxError(*_cold().syntax_error(
-                expr, f"degree exceeds ambient: term of degree {i + j} on C_{amb.d}", m.start(2)))
+            raise _cold().syntax_error(
+                expr, f"degree exceeds ambient: term of degree {i + j} on C_{amb.d}", m.start(2))
         read.append(((i, j), numerator, denominator))
         if not stop:
             return _of(amb, *_over_lcm(read))  # _of drops the terms that cancel and divides out the gcd
         if stop not in "+-":
-            raise ClassSyntaxError(*_cold().syntax_error(expr, "expected '+' or '-' between terms", end))
+            raise _cold().syntax_error(expr, "expected '+' or '-' between terms", end)
 
 
 # -- named class references ---------------------------------------------------
@@ -317,7 +317,7 @@ def cmd_cone(args) -> int:
 def cmd_verify(args) -> int:
     from .checks import _rows, _write
 
-    config = {} if args.config is None else _cold().read_config(sys.modules[__name__], args.config)
+    config = {} if args.config is None else _cold().read_config(args.config)
     g_min = config.get("g-min", 5) if args.g_min is None else args.g_min
     g_max = config.get("g-max", 40) if args.g_max is None else args.g_max
     rows = _rows(g_min, g_max)  # checks the range before anything is written
@@ -432,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _read_argv(argv)
         if args is None:
-            args = _cold().parse_args(sys.modules[__name__], argv)  # this module, also as __main__
+            args = _cold().parse_args(argv)
         code = args.handler(args)
         if sys.stdout is not None:  # None when fd 1 was closed at start-up, where print writes nothing
             sys.stdout.flush()  # a failed write raises here, not in the interpreter's last flush
@@ -459,4 +459,5 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    sys.modules["cdcalc.cli"] = sys.modules[__name__]  # `python -m`: `coldpath` imports this copy, not a second
     sys.exit(main())

@@ -5,16 +5,17 @@
 reads its file, and a class expression that does not parse ranks its errors.
 So a well-formed call neither compiles this module nor loads argparse.
 
-`python -m cdcalc.cli` runs `cli.py` as `__main__`, and importing `cdcalc.cli`
-here would compile a second copy with its own `UsageError`, which that `main`
-does not catch.  So the functions that need the CLI's names take the running
-`cli` module as an argument, and the error ranking returns a (message, byte
-offset) pair for `cli` to raise.
+This module imports `cli` as any module would.  `python -m cdcalc.cli` runs
+`cli.py` as `__main__`, which registers itself as `cdcalc.cli` before `main`
+runs, so the import finds that running copy and the errors raised here are
+the ones its `main` catches.
 """
 
 import io
 import re
 import sys
+
+from . import cli
 
 # -- the parse-error ranking ---------------------------------------------------
 
@@ -30,7 +31,7 @@ _OPERANDS = {"+": "a rational coefficient", "-": "a rational coefficient",
              "/": "an integer denominator", "*": "'x' or 'theta' after '*'", "^": "an integer exponent"}
 
 
-def syntax_error(expr: str, message: str, position: int) -> tuple[str, int]:
+def syntax_error(expr: str, message: str, position: int) -> cli.ClassSyntaxError:
     """The error `expr` reports, given the first grammar error found in it.
 
     A left-to-right read of the characters ranks the errors: a character
@@ -42,11 +43,11 @@ def syntax_error(expr: str, message: str, position: int) -> tuple[str, int]:
     for digits in _DIGIT_RUNS.findall(expr, 0, bad):
         int(digits)
     if bad < len(expr):
-        return f"unexpected character {expr[bad]!r}", bad
-    return message, position
+        return cli.ClassSyntaxError(f"unexpected character {expr[bad]!r}", bad)
+    return cli.ClassSyntaxError(message, position)
 
 
-def missing_operand(expr: str, op: int) -> tuple[str, int]:
+def missing_operand(expr: str, op: int) -> cli.ClassSyntaxError:
     """The error for the operator at offset `op`, which the grammar wants an operand after."""
     at = _BLANKS.match(expr, op + 1).end()
     if at == len(expr):
@@ -54,7 +55,7 @@ def missing_operand(expr: str, op: int) -> tuple[str, int]:
     return syntax_error(expr, f"expected {_OPERANDS[expr[op]]}", at)
 
 
-def missing_term(expr: str, end: int) -> tuple[str, int]:
+def missing_term(expr: str, end: int) -> cli.ClassSyntaxError:
     """The error where a term starts at offset `end` but no coefficient does."""
     at = _BLANKS.match(expr, end).end()
     if at == len(expr):
@@ -71,7 +72,7 @@ def missing_term(expr: str, end: int) -> tuple[str, int]:
 _CONFIG_BYTES = 4096
 
 
-def read_config(cli, path: str) -> dict[str, int]:
+def read_config(path: str) -> dict[str, int]:
     """The g-min/g-max values of a key=value file, each line checked as it is read.
 
     A byte-order mark at the start of the file is skipped, and lines end as
@@ -106,25 +107,14 @@ def read_config(cli, path: str) -> dict[str, int]:
 
 # -- argparse --------------------------------------------------------------------
 
-def build_parser(cli, argv: list[str] | None = None) -> "argparse.ArgumentParser":
-    """The parser for `argv`: only the verb that `argv` starts with, else every verb.
-
-    When `argv` starts with a verb, argparse hands the rest to that verb
-    alone, and the CLI prints no top-level usage on an error, so only that
-    verb's subparser is built.  Otherwise (no `argv`, or one that starts with
-    an option or an unknown word) every verb is built with its flags:
-    argparse may list the verbs, or still pick one, as in `-x eval`, and
-    must report that verb's own errors.
-    """
+def build_parser(table: dict) -> "argparse.ArgumentParser":
+    """The parser of the verbs in `table`, a narrowing of `cli._verbs()`, each with its flags."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
         def error(self, message):
             raise cli.UsageError(message)
 
-    table = cli._verbs()
-    if argv and argv[0] in table:
-        table = {argv[0]: table[argv[0]]}
     parser = _Parser(prog="cdcalc", description=cli.__doc__.splitlines()[0])
     verbs = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
     for verb, (text, handler, flags, formats) in table.items():
@@ -135,8 +125,15 @@ def build_parser(cli, argv: list[str] | None = None) -> "argparse.ArgumentParser
     return parser
 
 
-def parse_args(cli, argv: list[str]):
+def parse_args(argv: list[str]):
     """argparse's reading of `argv`, for the argv `cli._read_argv` declines: help and every usage error.
+
+    When `argv` starts with a verb, argparse hands the rest to that verb
+    alone, and the CLI prints no top-level usage on an error, so only that
+    verb's subparser is built.  Otherwise (an empty argv, or one that starts
+    with an option or an unknown word) every verb is built with its flags:
+    argparse may list the verbs, or still pick one, as in `-x eval`, and
+    must report that verb's own errors.
 
     argparse reads a separate value that starts with '-' as a flag, so
     `--expr -1*x` is refused as a missing value; the error then names the
@@ -151,6 +148,7 @@ def parse_args(cli, argv: list[str]):
     """
     table = cli._verbs()
     if argv and argv[0] in table:
+        table = {argv[0]: table[argv[0]]}
         help_flag = "--help"  # argparse's own, with -h
         names = [*cli._options(*table[argv[0]][2:]), help_flag]
         for token in argv[1:argv.index("--") if "--" in argv else None]:
@@ -161,7 +159,7 @@ def parse_args(cli, argv: list[str]):
             if value == "--" and len(named) == 1:
                 raise cli.UsageError(f"argument {named[0]}: '--' is not a value")
     try:
-        return build_parser(cli, argv).parse_args(argv)
+        return build_parser(table).parse_args(argv)
     except cli.UsageError as exc:
         missing = re.fullmatch(r"argument (--[a-z-]+): expected one argument", str(exc))
         if missing and any(token == missing[1] and following.startswith("-")

@@ -328,10 +328,7 @@ class NSClass(Record):
             return _of(self.ambient, {key: n * num for key, n in self._terms.items()}, self.den * den)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, int) or isinstance(other, _fraction_types()):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__  # the ring is commutative
 
     def __truediv__(self, other):
         if isinstance(other, int) or isinstance(other, _fraction_types()):

@@ -59,7 +59,7 @@ def edge_argv_differ() -> bool:
 
     answers = [outcome(argv) for argv in EDGE_ARGV]
     build_parser = coldpath.build_parser
-    coldpath.build_parser = lambda cli, argv=None: build_parser(cli)
+    coldpath.build_parser = lambda table: build_parser(cli._verbs())
     try:
         return [outcome(argv) for argv in EDGE_ARGV] != answers
     finally:
@@ -132,7 +132,7 @@ def reader_disagreements(argvs) -> list[list[str]]:
             continue
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
-                parsed = vars(coldpath.build_parser(cli, list(argv)).parse_args(list(argv)))
+                parsed = vars(coldpath.build_parser({argv[0]: cli._verbs()[argv[0]]}).parse_args(list(argv)))
             except (cli.UsageError, SystemExit):
                 parsed = None
         if vars(read) != parsed:

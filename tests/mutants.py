@@ -69,6 +69,44 @@ MUTANTS = [
            "    a._require_same_ambient(b)\n    _check_evaluable(a.ambient)\n",
            "    _check_evaluable(a.ambient)\n    a._require_same_ambient(b)\n",
            ("test_nsring.py", "test_records.py")),
+    # nsring: the ring's operators and printer
+    Mutant("rmul-not-implemented", "nsring.py", "    __rmul__ = __mul__  # the ring is commutative\n",
+           "    __rmul__ = lambda self, other: NotImplemented\n", ("test_nsring.py", "test_package.py")),
+    Mutant("eq-ambients-first", "nsring.py",
+           "        return (self.den == other.den and self._terms == other._terms\n"
+           "                and (ambient is other.ambient or ambient == other.ambient))\n",
+           "        return ((ambient is other.ambient or ambient == other.ambient)\n"
+           "                and self.den == other.den and self._terms == other._terms)\n",
+           "equivalent: the three comparisons are pure and each gives a bool, so any order gives the same "
+           "answer; comparing the ambients last only saves time, since they are equal for most pairs"),
+    Mutant("eq-ignores-ambient", "nsring.py", "                and (ambient is other.ambient or ambient == other.ambient))\n",
+           "                and True)\n", ("test_nsring.py", "test_properties.py", "test_records.py")),
+    Mutant("format-class-unsorted", "nsring.py", "    rows.sort()\n", "",
+           ("test_nsring.py", "test_cli.py")),
+    # catalog: the push-pull recurrence and the one class only the mult-chern row checks
+    Mutant("pushpull-recurrence-off-by-one", "catalog.py", "* (g - b + j) // (i * j)",
+           "* (g - b + j + 1) // (i * j)", ("test_catalog.py",)),
+    Mutant("mult-class-rank-not-plus-one", "catalog.py", "return induced_det - (r + 1) * (-canonical_class(amb))",
+           "return induced_det - r * (-canonical_class(amb))", ("test_checks.py",)),
+    # checks: the pencil row, the lazy rows and the row's field checks
+    Mutant("pencil-d1-shifted-at-41", "checks.py", "dm._terms[1, 0] * x, dm.den * den)",
+           "dm._terms[1, 0] * x + (g == 41), dm.den * den)", ("test_checks.py",)),
+    Mutant("pencil-linearity-swapped", "checks.py", "dm._terms[0, 1] * theta + dm._terms[1, 0] * x,",
+           "dm._terms[0, 1] * x + dm._terms[1, 0] * theta,", ("test_checks.py",)),
+    Mutant("rows-eager", "checks.py", "    return (_run(check_id, check, params) for check_id, check, at in plan\n"
+           "            for g in range(g_min, g_max + 1) for params in at(g))\n",
+           "    return iter([_run(check_id, check, params) for check_id, check, at in plan\n"
+           "            for g in range(g_min, g_max + 1) for params in at(g)])\n", REPORT_TESTS),
+    Mutant("check-result-rhs-unchecked", "checks.py", 'for name in ("check_id", "lhs", "rhs"):',
+           'for name in ("check_id", "lhs"):', ("test_records.py",)),
+    # cli and coldpath: the flush, the module identity under `python -m`, the `--` pre-scan
+    Mutant("main-flush-dropped", "cli.py",
+           "            sys.stdout.flush()  # a failed write raises here, not in the interpreter's last flush\n",
+           "            pass\n", ("test_cli.py",)),
+    Mutant("dash-m-copy-not-registered", "cli.py",
+           '    sys.modules["cdcalc.cli"] = sys.modules[__name__]', "    pass", ("test_cli.py",)),
+    Mutant("dash-dash-prescan-never-refuses", "coldpath.py", 'if value == "--" and len(named) == 1:',
+           'if value == "--" and len(named) == 2:', ("test_cli.py", "test_package.py")),
 ]
 
 

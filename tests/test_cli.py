@@ -767,10 +767,14 @@ COLD_PATH_ARGV = [
     (["verify", "--config", "/nonexistent"], 1,
      "usage error: cannot read config file: [Errno 2] No such file or directory: '/nonexistent'\n"),
     (["eval", "-h"], 0, ""),
+    (["eval", "--g", "6", "--d", "4", "--expr=--"], 1, "usage error: argument --expr: '--' is not a value\n"),
+    (["eval", "--g", "6", "--d", "4", "--expr", "-1*x"], 1,
+     "usage error: argument --expr: expected one argument (a value that starts with '-' is written --expr=VALUE)\n"),
 ]
 
 
-@pytest.mark.parametrize("argv, code, err", COLD_PATH_ARGV, ids=["usage-error", "parse-error", "config", "help"])
+@pytest.mark.parametrize("argv, code, err", COLD_PATH_ARGV,
+                         ids=["usage-error", "parse-error", "config", "help", "dash-dash-value", "minus-value-hint"])
 def test_each_cold_path_runs_under_dash_m(argv, code, err):
     """`python -m cdcalc.cli` runs `cli.py` as `__main__`: a cold path must not import `cdcalc.cli`
     beside it, whose own `UsageError` that `main` would not catch."""

@@ -78,7 +78,7 @@ def test_reference_arity_message(name):
 
 
 def test_name_choices_and_flags_come_from_the_table():
-    parser = build_parser(cli)
+    parser = build_parser(cli._verbs())
     (verbs,) = [a for a in parser._actions if a.dest == "verb"]
     sub = verbs.choices["class"]
     (name_action,) = [a for a in sub._actions if a.dest == "name"]

@@ -103,7 +103,7 @@ def test_each_verb_loads_only_the_modules_it_runs():
 # them all, at about 0.5 ms per 30 lines of code; docstrings and comments cost
 # nothing measurable, so nodes are counted, not bytes.  Raising a ceiling is an
 # edit recorded in CHANGES.md.
-COMPILE_BUDGET = {"class": 8895, "eval": 6652, "pair": 6652, "pushpull": 8895, "cone": 8464, "verify": 11577}
+COMPILE_BUDGET = {"class": 8838, "eval": 6595, "pair": 6595, "pushpull": 8838, "cone": 8566, "verify": 11520}
 
 
 def test_each_verb_compiles_within_its_budget():
@@ -264,9 +264,10 @@ def test_a_verb_alone_gets_the_flags_it_has_among_all():
     from cdcalc import cli
     from cdcalc.coldpath import build_parser
 
-    full = _subparsers(build_parser(cli))
+    table = cli._verbs()
+    full = _subparsers(build_parser(table))
     for verb in full:
-        one = _subparsers(build_parser(cli, [verb]))
+        one = _subparsers(build_parser({verb: table[verb]}))
         assert list(one) == [verb]
         assert _fields(one[verb]) == _fields(full[verb]), verb
 
@@ -293,8 +294,26 @@ def test_main_answers_as_with_every_verb_s_flags(capsys, monkeypatch):
 
     answers = [outcome(argv) for argv in EDGE_ARGV]
     build_parser = coldpath.build_parser
-    monkeypatch.setattr(coldpath, "build_parser", lambda cli, argv=None: build_parser(cli))
+    monkeypatch.setattr(coldpath, "build_parser", lambda table: build_parser(cli._verbs()))
     assert [outcome(argv) for argv in EDGE_ARGV] == answers
+
+
+def test_a_declined_argv_reads_the_verb_table_once_more(capsys, monkeypatch):
+    """`_read_argv` reads the table, and for an argv it declines `coldpath.parse_args` reads it once
+    more and hands the parser the table it narrowed."""
+    from cdcalc import cli
+
+    reads = []
+    verbs = cli._verbs
+    monkeypatch.setattr(cli, "_verbs", lambda: reads.append(1) or verbs())
+    for argv in EDGE_ARGV:
+        reads.clear()
+        try:
+            cli.main(list(argv))
+        except SystemExit:
+            pass
+        assert len(reads) == 2, argv
+    capsys.readouterr()
 
 
 def test_runtime_dependencies_stay_empty():
