@@ -139,20 +139,9 @@ class BoundStatus(str, Enum):
 
 
 class BoundEntry(Record):
-    """One catalogued restriction on the effective cone of C_d: a `CurveClass`, the ints g and d
-    with 2 <= d < g, a `ConeRay`, a `BoundStatus` and the source text."""
+    """One catalogued restriction on the effective cone of C_d."""
 
     __slots__ = ("curve", "g", "d", "ray", "status", "source")
-
-    def __init__(self, curve, g, d, ray, status, source, /):
-        _require_ints("BoundEntry field", g=g, d=d)
-        for name, value, kind in (("curve", curve, CurveClass), ("ray", ray, ConeRay),
-                                  ("status", status, BoundStatus), ("source", source, str)):
-            if type(value) is not kind:
-                raise TypeError(f"BoundEntry field {name} must be a {kind.__name__}, got {value!r}")
-        if not 2 <= d < g:
-            raise ValueError(f"BoundEntry fields g/d need 2 <= d < g, got g={g}, d={d}")
-        super().__init__(curve, g, d, ray, status, source)
 
 
 # (curve, g - d) -> (t, source) for the proved boundary ray theta - t*x of a special curve.

@@ -103,7 +103,7 @@ def test_each_verb_loads_only_the_modules_it_runs():
 # them all, at about 0.5 ms per 30 lines of code; docstrings and comments cost
 # nothing measurable, so nodes are counted, not bytes.  Raising a ceiling is an
 # edit recorded in CHANGES.md.
-COMPILE_BUDGET = {"class": 8838, "eval": 6595, "pair": 6595, "pushpull": 8838, "cone": 8566, "verify": 11520}
+COMPILE_BUDGET = {"class": 8838, "eval": 6595, "pair": 6595, "pushpull": 8838, "cone": 8435, "verify": 11520}
 
 
 def test_each_verb_compiles_within_its_budget():

@@ -132,8 +132,6 @@ def test_default_constructor_is_positional_only():
     (LinearSeries, (5, Fraction(1)), "r"),
     (SystemData, (1, 2.5, 3), "degree"),
     (KernelBundleData, (5.0, 3), "base_degree"),
-    (BoundEntry, (CurveClass.GENERAL, 6.5, 4, RAY, BoundStatus.PROVED_BOUNDARY, "demo"), "g"),
-    (BoundEntry, (CurveClass.GENERAL, 6, True, RAY, BoundStatus.PROVED_BOUNDARY, "demo"), "d"),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
 def test_integer_fields_refuse_every_other_type(record, values, field):
     with pytest.raises(TypeError, match=rf"^{record.__name__} field {field} must be an int, got "):
@@ -204,30 +202,13 @@ def test_cone_genus_refuses_floats_and_bools():
     (("demo", {}, "1", "1", None, 0), "CheckResult field passed must be a bool, got None"),
     (("demo", {}, "1", "1", True, 7.0), "CheckResult field micros must be an int, got 7.0"),
     (("demo", {}, "1", "1", True, False), "CheckResult field micros must be an int, got False"),
-    (("general", 6, 4, RAY, BoundStatus.PROVED_BOUNDARY, "demo"),
-     "BoundEntry field curve must be a CurveClass, got 'general'"),
-    ((CurveClass.GENERAL, 6, 4, (1, -3), BoundStatus.PROVED_BOUNDARY, "demo"),
-     "BoundEntry field ray must be a ConeRay, got (1, -3)"),
-    ((CurveClass.GENERAL, 6, 4, RAY, "proved-boundary", "demo"),
-     "BoundEntry field status must be a BoundStatus, got 'proved-boundary'"),
-    ((CurveClass.GENERAL, 6, 4, RAY, BoundStatus.PROVED_BOUNDARY, 3), "BoundEntry field source must be a str, got 3"),
-    ((BoundStatus.PROVED_BOUNDARY, 6, 4, RAY, CurveClass.GENERAL, "demo"),
-     "BoundEntry field curve must be a CurveClass, got <BoundStatus.PROVED_BOUNDARY: 'proved-boundary'>"),
     ((ConeRay(1, 0), (0, 1)), "Cone2D ray must be a ConeRay, got (0, 1)"),
     (((0, 1), ConeRay(1, 0)), "Cone2D ray must be a ConeRay, got (0, 1)"),
 ])
 def test_records_refuse_fields_of_another_type(values, words):
-    record = {"Report": Report, "CheckResult": CheckResult, "BoundEntry": BoundEntry, "Cone2D": Cone2D}
+    record = {"Report": Report, "CheckResult": CheckResult, "Cone2D": Cone2D}
     with pytest.raises(TypeError, match="^" + re.escape(words)):
         record[words.split()[0]](*values)
-
-
-@pytest.mark.parametrize("g, d", [(6, 6), (6, 7), (6, 1), (3, 5)])
-def test_bound_entry_refuses_d_outside_2_to_g(g, d):
-    # the rule `_bounds` and `bounds_from_json` keep
-    words = f"BoundEntry fields g/d need 2 <= d < g, got g={g}, d={d}"
-    with pytest.raises(ValueError, match=f"^{re.escape(words)}$"):
-        BoundEntry(CurveClass.GENERAL, g, d, RAY, BoundStatus.PROVED_BOUNDARY, "demo")
 
 
 def test_check_result_refuses_negative_micros():
